@@ -16,18 +16,14 @@ from .errors import (DimensionError, DivergenceError, DomainError,
                      NumericalError, PreconditionError, SingularityError,
                      SymmetryError)
 from .experiments import (EmpiricalDistribution, ExperimentConfig, TrialRow,
-                          emit_report, empirical_cdf, histogram, ks_distance,
-                          reference_law, run_experiment)
-from .iteration import (EXP_HALF_MEAN_LOG, HaltingRecord, IterationProblem,
-                        IterationResult, TailBound, bound_K, bound_Kstar,
-                        halting_record, iterate, refined_statistic, scaled_K,
-                        sharpness_rhs, tail_norm)
-from .limits import (BesselKernelOperator, LimitLaw, QuadratureRule,
-                     ReciprocalLaw, bessel_kernel, exp_cdf, export_cdf_table,
-                     fredholm_det, gauss_legendre_rule, jue_limit_cdf,
-                     numeric_pdf, transplant)
-from .linalg import (DenseMatrix, EigenDecomposition, apply, inv_sqrt_psd,
-                     spectral_norm, symmetric_eig)
+                          emit_report, histogram, ks_distance, reference_law,
+                          run_experiment)
+from .iteration import (EXP_HALF_MEAN_LOG, IterationProblem, IterationResult,
+                        TailBound, bound_K, bound_Kstar, iterate,
+                        refined_statistic, scaled_K, sharpness_rhs, tail_norm)
+from .limits import (LimitLaw, ReciprocalLaw, bessel_kernel, exp_cdf,
+                     export_cdf_table, fredholm_det, jue_limit_cdf, numeric_pdf)
+from .linalg import DenseMatrix, EigenDecomposition, inv_sqrt_psd, symmetric_eig
 
 __version__ = "0.1.0"
 
@@ -38,14 +34,11 @@ __all__ = [
     "DimensionError", "DivergenceError", "DomainError", "NumericalError",
     "PreconditionError", "SingularityError", "SymmetryError",
     "EmpiricalDistribution", "ExperimentConfig", "TrialRow", "emit_report",
-    "empirical_cdf", "histogram", "ks_distance", "reference_law",
-    "run_experiment",
-    "EXP_HALF_MEAN_LOG", "HaltingRecord", "IterationProblem", "IterationResult",
-    "TailBound", "bound_K", "bound_Kstar", "halting_record", "iterate",
-    "refined_statistic", "scaled_K", "sharpness_rhs", "tail_norm",
-    "BesselKernelOperator", "LimitLaw", "QuadratureRule", "ReciprocalLaw",
-    "bessel_kernel", "exp_cdf", "export_cdf_table", "fredholm_det",
-    "gauss_legendre_rule", "jue_limit_cdf", "numeric_pdf", "transplant",
-    "DenseMatrix", "EigenDecomposition", "apply", "inv_sqrt_psd",
-    "spectral_norm", "symmetric_eig",
+    "histogram", "ks_distance", "reference_law", "run_experiment",
+    "EXP_HALF_MEAN_LOG", "IterationProblem", "IterationResult", "TailBound",
+    "bound_K", "bound_Kstar", "iterate", "refined_statistic", "scaled_K",
+    "sharpness_rhs", "tail_norm",
+    "LimitLaw", "ReciprocalLaw", "bessel_kernel", "exp_cdf", "export_cdf_table",
+    "fredholm_det", "jue_limit_cdf", "numeric_pdf",
+    "DenseMatrix", "EigenDecomposition", "inv_sqrt_psd", "symmetric_eig",
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -52,6 +52,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        if len(set(self.n_values)) != len(self.n_values):
+            raise DomainError(f"n_values must be distinct, got {list(self.n_values)}")
         if self.trials < 1:
             raise DomainError(f"need trials >= 1, got {self.trials}")
         if not (0.0 < self.epsilon < 0.5):
@@ -85,6 +87,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise DomainError(f"unknown config keys {unknown}")
         return cls(
             ensemble=EnsembleSpec.from_json(data["ensemble"]),
             n_values=tuple(data["n_values"]),
@@ -244,18 +249,12 @@ class EmpiricalDistribution:
         return float(out) if np.ndim(t) == 0 else out
 
 
-def empirical_cdf(dist: EmpiricalDistribution, t):
-    """Fraction of samples <= t (right-continuous step function)."""
-    return dist.cdf(t)
-
-
 def _reference_cdfs(reference):
+    """(right, left) CDF callables; left is None when the law has no jumps."""
     if hasattr(reference, "cdf"):
-        right = reference.cdf
-        left = getattr(reference, "cdf_left", reference.cdf)
-        return right, left
+        return reference.cdf, getattr(reference, "cdf_left", None)
     if callable(reference):
-        return reference, reference
+        return reference, None
     raise TypeError(f"reference must be callable or expose .cdf, got {type(reference)}")
 
 
@@ -271,7 +270,7 @@ def ks_distance(dist: EmpiricalDistribution, reference) -> float:
     xs = dist.samples
     n = dist.count
     f_right = np.asarray(right(xs), dtype=float)
-    f_left = np.asarray(left(xs), dtype=float)
+    f_left = f_right if left is None else np.asarray(left(xs), dtype=float)
     upper = np.abs(np.arange(1, n + 1) / n - f_right)
     lower = np.abs(np.arange(0, n) / n - f_left)
     return float(max(upper.max(), lower.max()))
@@ -352,19 +351,21 @@ def emit_report(rows: list, config: ExperimentConfig, outdir, bins: int = 40) ->
         per_n.append(entry)
 
         edges, densities = histogram(dist, bins)
+        mids = (edges[:-1] + edges[1:]) / 2.0
+        halves = (edges[1:] - edges[:-1]) / 2.0
+        has_ref = (law is not None) & (mids >= halves) & (halves > 0)
+        ref = np.zeros(len(densities))
+        if has_ref.any():
+            ref[has_ref] = numeric_pdf(law, mids[has_ref], halves[has_ref])
         hist_path = outdir / f"histogram_n{n}.csv"
         paths[f"histogram_n{n}"] = hist_path
         with open(hist_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["bin_left", "bin_right", "density", "reference_pdf"])
             for i in range(len(densities)):
-                mid = (edges[i] + edges[i + 1]) / 2.0
-                h = (edges[i + 1] - edges[i]) / 2.0
-                ref = ""
-                if law is not None and mid >= h > 0:
-                    ref = repr(numeric_pdf(law, mid, h))
                 writer.writerow([repr(float(edges[i])), repr(float(edges[i + 1])),
-                                 repr(float(densities[i])), ref])
+                                 repr(float(densities[i])),
+                                 repr(float(ref[i])) if has_ref[i] else ""])
 
     summary = {
         "config": config.to_json(),

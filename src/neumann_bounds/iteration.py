@@ -273,49 +273,3 @@ def iterate(problem: IterationProblem) -> IterationResult:
         k_eps_saturated=k_eps is None,
         k_star_saturated=k_star is None,
     )
-
-
-# CSV schema for one measured trial; the harness prepends trial bookkeeping.
-HALTING_CSV_HEADER = ("trial_index", "n", "lambda_min", "lambda_max",
-                      "k_eps", "k_star_eps", "K_eps", "K_star_eps", "saturated")
-
-
-@dataclass(frozen=True)
-class HaltingRecord:
-    """Measured counts and bounds for one iteration run."""
-
-    n: int
-    lambda_min: float
-    lambda_max: float
-    k_eps: int
-    k_star_eps: int
-    K_eps: int
-    K_star_eps: int
-    sigma: float
-    saturated: bool
-
-    def csv_row(self, trial_index: int) -> list:
-        return [trial_index, self.n, repr(self.lambda_min), repr(self.lambda_max),
-                self.k_eps, self.k_star_eps, self.K_eps, self.K_star_eps,
-                int(self.saturated)]
-
-
-def halting_record(problem: IterationProblem,
-                   result: Optional[IterationResult] = None) -> HaltingRecord:
-    """Bundle measured counts with the closed-form bounds for one problem."""
-    if result is None:
-        result = iterate(problem)
-    dec = symmetric_eig(problem.matrix)
-    bnd = bound_K(dec.lambda_min, dec.lambda_max, problem.epsilon)
-    kstar = bound_Kstar(dec.lambda_min, dec.lambda_max, problem.epsilon)
-    return HaltingRecord(
-        n=len(np.asarray(problem.rhs)),
-        lambda_min=dec.lambda_min,
-        lambda_max=dec.lambda_max,
-        k_eps=result.k_eps,
-        k_star_eps=result.k_star_eps,
-        K_eps=bnd.value,
-        K_star_eps=kstar,
-        sigma=bnd.sigma,
-        saturated=result.saturated,
-    )

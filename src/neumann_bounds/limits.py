@@ -4,14 +4,14 @@ Two references: the exponential law (rate 1/2) that the uniform ensemble's
 edge gap converges to, and the hard-edge law 1 - det(I - J_a on (0, 2t)) that
 the Jacobi ensemble's scaled extreme eigenvalues converge to. The Fredholm
 determinant is approximated by a Nystrom discretization of the Bessel kernel
-on a Gauss-Legendre rule transplanted to the integration interval.
+on an m-point Gauss-Legendre rule mapped to the integration interval
+(Bornemann, "On the numerical evaluation of Fredholm determinants", Math.
+Comp. 2010), batched over all requested interval lengths.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.special import jv
@@ -28,66 +28,11 @@ def exp_cdf(t, rate: float):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights for integration; built on (-1, 1), transplantable."""
-
-    m: int
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def integrate(self, fn) -> float:
-        return float(np.sum(self.weights * fn(self.nodes)))
-
-
-def _legendre_with_derivative(m: int, x: np.ndarray):
-    """P_m(x) and P_m'(x) by the three-term recurrence."""
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for j in range(1, m):
-        p, p_prev = ((2 * j + 1) * x * p - j * p_prev) / (j + 1), p
-    dp = m * (x * p - p_prev) / (x * x - 1.0)
-    return p, dp
-
-
-def gauss_legendre_rule(m: int) -> QuadratureRule:
-    """m-point Gauss-Legendre rule on (-1, 1) by Newton iteration on P_m.
-
-    Cosine initial guesses, Newton to |dx| < 1e-14, then weights
-    2 / ((1 - x^2) P_m'(x)^2). Nodes are returned ascending and the rule is
-    symmetrized to remove last-bit asymmetry.
-    """
-    if m < 1:
-        raise DomainError(f"rule size must be >= 1, got {m}")
-    if m == 1:
-        return QuadratureRule(1, np.array([0.0]), np.array([2.0]))
-    k = np.arange(1, m + 1)
-    x = np.cos(np.pi * (k - 0.25) / (m + 0.5))
-    dp = None
-    for _ in range(100):
-        p, dp = _legendre_with_derivative(m, x)
-        dx = p / dp
-        x = x - dx
-        if np.max(np.abs(dx)) < 1e-14:
-            break
-    _, dp = _legendre_with_derivative(m, x)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    order = np.argsort(x)
-    x, w = x[order], w[order]
-    x = (x - x[::-1]) / 2.0
-    w = (w + w[::-1]) / 2.0
-    return QuadratureRule(m, x, w)
-
-
-def transplant(rule: QuadratureRule, t: float) -> QuadratureRule:
-    """Map a (-1, 1) rule to (0, 2t): nodes t(1 + x_j), weights t w_j."""
-    if t <= 0:
-        raise DomainError(f"transplant needs t > 0, got {t}")
-    return QuadratureRule(rule.m, t * (1.0 + rule.nodes), t * rule.weights)
-
-
 # Relative closeness at which the kernel switches to its diagonal formula.
 _DIAGONAL_RTOL = 1e-9
+
+# Interval lengths per batched determinant; bounds the (block, m, m) stack.
+_DET_BLOCK = 8
 
 
 def _kernel_parts(order: float, u: np.ndarray):
@@ -120,92 +65,86 @@ def _kernel_diagonal(order: float, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def bessel_kernel(order: float, u: float, v: float) -> float:
-    """Bessel kernel J_a(u, v) of the hard-edge scaling limit.
+def bessel_kernel(order: float, u, v):
+    """Bessel kernel J_a(u, v) of the hard-edge scaling limit; broadcasts.
 
     (J_a(su) sv J_a'(sv) - J_a(sv) su J_a'(su)) / (2 (u - v)) with s* the
     square roots; within relative distance 1e-9 of the diagonal the closed
-    v -> u limit is used instead.
+    v -> u limit is used instead. J_a is evaluated on u and v before they
+    broadcast, so a (T, m, 1) by (T, 1, m) call costs O(T m) Bessel values.
     """
     if order < 0:
         raise DomainError(f"kernel order must be >= 0, got {order}")
-    if u < 0 or v < 0:
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if np.any(u < 0) or np.any(v < 0):
         raise DomainError(f"kernel arguments must be >= 0, got ({u}, {v})")
-    if abs(u - v) <= _DIAGONAL_RTOL * max(u, v, 1.0):
-        return float(_kernel_diagonal(order, np.array([(u + v) / 2.0]))[0])
-    a_u, b_u = _kernel_parts(order, np.array([u]))
-    a_v, b_v = _kernel_parts(order, np.array([v]))
-    return float((a_u[0] * b_v[0] - a_v[0] * b_u[0]) / (2.0 * (u - v)))
+    a_u, b_u = _kernel_parts(order, u)
+    a_v, b_v = _kernel_parts(order, v)
+    diff = u - v
+    near = np.abs(diff) <= _DIAGONAL_RTOL * np.maximum(np.maximum(u, v), 1.0)
+    out = np.asarray((a_u * b_v - a_v * b_u) / (2.0 * np.where(near, 1.0, diff)))
+    out[near] = _kernel_diagonal(order, ((u + v) / 2.0)[near])
+    return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class BesselKernelOperator:
-    """Nystrom discretization of the Bessel kernel on L^2(0, s)."""
+def _mapped_rule(s, quad_size: int):
+    """Gauss-Legendre nodes and weights on (0, s), one row per interval length."""
+    x, w = np.polynomial.legendre.leggauss(quad_size)
+    half = np.reshape(np.asarray(s, dtype=float), (-1, 1)) / 2.0
+    return half * (1.0 + x), half * w
 
-    order: float
-    s: float
-    quad_size: int = 40
 
-    def __post_init__(self):
-        if self.order < 0:
-            raise DomainError(f"kernel order must be >= 0, got {self.order}")
-        if self.s <= 0:
-            raise DomainError(f"interval length must be positive, got {self.s}")
-        if self.quad_size < 2:
-            raise DomainError(f"need at least 2 quadrature points, got {self.quad_size}")
+def _nystrom(order: float, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Stack of symmetrized kernel matrices sqrt(w_i w_j) J_a(x_i, x_j)."""
+    root = np.sqrt(weights)
+    kern = bessel_kernel(order, nodes[:, :, None], nodes[:, None, :])
+    mat = root[:, :, None] * kern * root[:, None, :]
+    return (mat + mat.transpose(0, 2, 1)) / 2.0
 
-    @cached_property
-    def rule(self) -> QuadratureRule:
-        return transplant(gauss_legendre_rule(self.quad_size), self.s / 2.0)
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """Symmetrized kernel matrix sqrt(w_i w_j) J_a(x_i, x_j)."""
-        u = self.rule.nodes
-        a_val, b_val = _kernel_parts(self.order, u)
-        diff = u[:, None] - u[None, :]
-        np.fill_diagonal(diff, 1.0)
-        kern = (a_val[:, None] * b_val[None, :] - a_val[None, :] * b_val[:, None]) / (2.0 * diff)
-        np.fill_diagonal(kern, _kernel_diagonal(self.order, u))
-        sw = np.sqrt(self.rule.weights)
-        mat = sw[:, None] * kern * sw[None, :]
-        return (mat + mat.T) / 2.0
+def fredholm_det(order: float, s, quad_size: int = 40):
+    """det(I - J_a) on L^2(0, s) via the Nystrom discretization.
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
-    def det(self) -> float:
-        mat = self.matrix
+    ``s`` is a scalar or an array of interval lengths; the result has its
+    shape and is a float for a scalar. Costs O(m^3) per interval length.
+    """
+    if quad_size < 2:
+        raise DomainError(f"need at least 2 quadrature points, got {quad_size}")
+    s = np.asarray(s, dtype=float)
+    if not np.all(s > 0):
+        raise DomainError(f"interval length must be positive, got {s}")
+    nodes, weights = _mapped_rule(s, quad_size)
+    dets = np.empty(len(nodes))
+    eye = np.eye(quad_size)
+    for lo in range(0, len(nodes), _DET_BLOCK):
+        block = slice(lo, lo + _DET_BLOCK)
+        mat = _nystrom(order, nodes[block], weights[block])
         if not np.all(np.isfinite(mat)):
             raise NumericalError(
-                f"kernel matrix is not finite (order={self.order}, s={self.s}, "
-                f"m={self.quad_size})"
+                f"kernel matrix is not finite (order={order}, "
+                f"s={s.reshape(-1)[block]}, m={quad_size})"
             )
-        return float(np.linalg.det(np.eye(self.quad_size) - mat))
-
-
-def fredholm_det(order: float, s: float, quad_size: int = 40) -> float:
-    """det(I - J_a) on L^2(0, s) via the Nystrom discretization."""
-    return BesselKernelOperator(order, s, quad_size).det()
+        dets[block] = np.linalg.det(eye - mat)
+    return float(dets[0]) if s.ndim == 0 else dets.reshape(s.shape)
 
 
 def jue_limit_cdf(t, order: float = 2.0, quad_size: int = 40):
     """Hard-edge limit CDF: P(scaled edge gap <= t) = 1 - det(I - J_a on (0, 2t))."""
-    if np.ndim(t) > 0:
-        return np.array([jue_limit_cdf(float(ti), order, quad_size) for ti in t])
-    if t < 0:
+    t = np.asarray(t, dtype=float)
+    if not np.all(t >= 0):
         raise DomainError(f"the hard-edge law lives on t >= 0, got {t}")
-    if t == 0:
-        return 0.0
-    value = 1.0 - fredholm_det(order, 2.0 * t, quad_size)
-    return float(min(1.0, max(0.0, value)))
+    out = np.zeros(t.shape)
+    pos = t > 0
+    out[pos] = np.clip(1.0 - fredholm_det(order, 2.0 * t[pos], quad_size), 0.0, 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 class LimitLaw:
-    """A reference law with a cached CDF evaluator.
+    """A reference law with a vectorized CDF evaluator.
 
     Two kinds: ``exponential`` (closed form) and ``bessel-hard-edge``
-    (Fredholm determinant per evaluation, memoized by t).
+    (one Fredholm determinant per evaluation point, batched per call).
     """
 
     def __init__(self, kind: str, rate: float = None, order: float = None,
@@ -220,9 +159,12 @@ class LimitLaw:
         else:
             if order is None or order < 0:
                 raise DomainError("bessel-hard-edge law needs an order >= 0")
+            if quad_size < 2:
+                raise DomainError(
+                    f"bessel-hard-edge law needs at least 2 quadrature points, "
+                    f"got {quad_size}")
             self.order = float(order)
             self.quad_size = int(quad_size)
-            self._cache: dict = {}
 
     @classmethod
     def exponential(cls, rate: float) -> "LimitLaw":
@@ -235,16 +177,7 @@ class LimitLaw:
     def cdf(self, t):
         if self.kind == "exponential":
             return exp_cdf(t, self.rate)
-        if np.ndim(t) > 0:
-            return np.array([self._bessel_cdf(float(ti)) for ti in np.asarray(t)])
-        return self._bessel_cdf(float(t))
-
-    def _bessel_cdf(self, t: float) -> float:
-        if t <= 0:
-            return 0.0
-        if t not in self._cache:
-            self._cache[t] = jue_limit_cdf(t, self.order, self.quad_size)
-        return self._cache[t]
+        return jue_limit_cdf(np.maximum(t, 0.0), self.order, self.quad_size)
 
     def describe(self) -> dict:
         if self.kind == "exponential":
@@ -259,40 +192,50 @@ class ReciprocalLaw:
         self.base = base
 
     def cdf(self, t):
-        if np.ndim(t) > 0:
-            return np.array([self.cdf(float(ti)) for ti in np.asarray(t)])
-        if t <= 0:
-            return 0.0
-        return 1.0 - float(self.base.cdf(1.0 / t))
+        t = np.asarray(t, dtype=float)
+        out = np.zeros(t.shape)
+        pos = t > 0
+        out[pos] = 1.0 - self.base.cdf(1.0 / t[pos])
+        return float(out) if out.ndim == 0 else out
 
     def describe(self) -> dict:
         return {"kind": "reciprocal", "base": self.base.describe()}
 
 
-def numeric_pdf(law, t: float, h: float) -> float:
-    """Central-difference density (cdf(t+h) - cdf(t-h)) / (2h); needs t >= h."""
-    if h <= 0:
+def numeric_pdf(law, t, h):
+    """Central-difference density (cdf(t+h) - cdf(t-h)) / (2h); needs t >= h.
+
+    Broadcasts over ``t`` and ``h``; returns a float for scalar arguments.
+    """
+    t = np.asarray(t, dtype=float)
+    h = np.asarray(h, dtype=float)
+    if np.any(h <= 0):
         raise DomainError(f"step must be positive, got {h}")
-    if t < h:
+    if np.any(t < h):
         raise DomainError(f"need t >= h for the centered stencil, got t={t}, h={h}")
-    return float((float(law.cdf(t + h)) - float(law.cdf(t - h))) / (2.0 * h))
+    out = (np.asarray(law.cdf(t + h)) - np.asarray(law.cdf(t - h))) / (2.0 * h)
+    return float(out) if out.ndim == 0 else out
 
 
 def export_cdf_table(law, t_max: float, step: float, path) -> int:
     """Write a (t, cdf, pdf) CSV table on the grid 0, step, ..., t_max.
 
     The pdf column uses the centered stencil with h = step/2 and is left blank
-    where the stencil would cross zero. Returns the number of data rows.
+    where the stencil would cross zero. Every value is computed before the
+    file is opened, so a failed evaluation leaves no partial table. Returns
+    the number of data rows.
     """
     if t_max <= 0 or step <= 0:
         raise DomainError("t_max and step must be positive")
     grid = np.arange(0.0, t_max + step / 2.0, step)
     h = step / 2.0
+    cdf = np.asarray(law.cdf(grid))
+    has_pdf = grid >= h
+    pdf = np.zeros(len(grid))
+    pdf[has_pdf] = numeric_pdf(law, grid[has_pdf], h)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "cdf", "pdf"])
-        for t in grid:
-            t = float(t)
-            pdf = repr(numeric_pdf(law, t, h)) if t >= h else ""
-            writer.writerow([repr(t), repr(float(law.cdf(t))), pdf])
+        for t, c, p, ok in zip(grid, cdf, pdf, has_pdf):
+            writer.writerow([repr(float(t)), repr(float(c)), repr(float(p)) if ok else ""])
     return len(grid)

@@ -67,9 +67,6 @@ class EigenDecomposition:
     def lambda_max(self) -> float:
         return float(self.eigenvalues[-1])
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.basis * self.eigenvalues) @ self.basis.conj().T
-
 
 def _check_hermitian(a: np.ndarray, tag: str) -> None:
     scale = max(1.0, np.abs(a).max()) if a.size else 1.0
@@ -128,17 +125,3 @@ def inv_sqrt_psd(m) -> DenseMatrix:
     root = (root + root.conj().T) / 2
     tag = "hermitian" if np.iscomplexobj(root) else "symmetric"
     return DenseMatrix(root, tag)
-
-
-def apply(m, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector product with a shape check."""
-    a = _entries(m)
-    v = np.asarray(v)
-    if a.ndim != 2 or v.ndim != 1 or a.shape[1] != v.shape[0]:
-        raise DimensionError(f"cannot apply {a.shape} to vector of shape {v.shape}")
-    return a @ v
-
-
-def spectral_norm(m) -> float:
-    """Operator 2-norm of a dense matrix."""
-    return float(np.linalg.norm(_entries(m), 2))

@@ -245,7 +245,7 @@ def check_fredholm_determinant(tol_pair: float = 1e-8,
     grid = np.arange(0.5, 30.0 + 1e-9, 0.5)
     monotone = True
     for order in (0.0, 1.0, 2.0):
-        dets = np.array([fredholm_det(order, float(s), 40) for s in grid])
+        dets = fredholm_det(order, grid, 40)
         monotone &= bool(np.all(np.diff(dets) <= 1e-12))
     passed &= monotone
     detail["monotone_on_grid"] = monotone

@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from neumann_bounds import EnsembleSpec, ExperimentConfig, trial_seed
+from neumann_bounds import (DomainError, EnsembleSpec, ExperimentConfig,
+                            fredholm_det, trial_seed)
 from neumann_bounds.cli import main
 
 
@@ -98,6 +99,25 @@ class TestLimitCdf:
             records = list(csv.reader(fh))
         assert len(records) == 10
         assert float(records[1][1]) == 0.0  # CDF at t=0
+
+    def test_bessel_table_matches_determinant(self, tmp_path):
+        out = tmp_path / "edge.csv"
+        assert main(["limit-cdf", "--law", "bessel", "--order", "2",
+                     "--quad", "40", "--t-max", "25", "--step", "0.25",
+                     "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            records = list(csv.reader(fh))[1:]
+        for row in (records[3], records[20], records[57], records[100]):
+            t = float(row[0])
+            assert float(row[1]) == pytest.approx(
+                1.0 - fredholm_det(2.0, 2.0 * t, 80), abs=1e-8)
+
+    def test_bessel_single_point_rule_writes_nothing(self, tmp_path):
+        out = tmp_path / "bad.csv"
+        with pytest.raises(DomainError):
+            main(["limit-cdf", "--law", "bessel", "--quad", "1",
+                  "--out", str(out)])
+        assert not out.exists()
 
     def test_rejects_unknown_law(self, tmp_path):
         with pytest.raises(SystemExit):

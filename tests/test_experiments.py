@@ -11,9 +11,9 @@ import pytest
 from neumann_bounds import (EXP_HALF_MEAN_LOG, DomainError,
                             EmpiricalDistribution, EnsembleSpec,
                             ExperimentConfig, LimitLaw, PreconditionError,
-                            ReciprocalLaw, bound_K, emit_report, empirical_cdf,
-                            histogram, ks_distance, reference_law,
-                            run_experiment, scaled_K, trial_seed)
+                            ReciprocalLaw, bound_K, emit_report, histogram,
+                            ks_distance, reference_law, run_experiment,
+                            scaled_K, trial_seed)
 from neumann_bounds.experiments import TRIALS_CSV_HEADER
 
 
@@ -49,10 +49,6 @@ class TestEmpiricalDistribution:
     def test_vectorized_cdf(self):
         dist = EmpiricalDistribution.from_samples([1.0, 2.0])
         npt.assert_allclose(dist.cdf(np.array([0.0, 1.5, 5.0])), [0, 0.5, 1])
-
-    def test_passthrough_helper(self):
-        dist = EmpiricalDistribution.from_samples([1.0, 2.0])
-        assert empirical_cdf(dist, 1.5) == dist.cdf(1.5)
 
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(DomainError):
@@ -159,6 +155,20 @@ class TestExperimentConfig:
         assert config.statistic == "K_reciprocal_scaled"
         assert config.rhs_mode == "random_unit_sphere"
         assert config.mean_log_xi is None
+
+    def test_from_json_rejects_unknown_keys(self):
+        data = {"ensemble": {"kind": "eigenvalues-only-uniform", "n": 10},
+                "n_values": [10], "trials": 3, "trails": 7}
+        with pytest.raises(DomainError, match="trails"):
+            ExperimentConfig.from_json(data)
+
+    def test_rejects_duplicate_n_values(self):
+        with pytest.raises(DomainError, match="distinct"):
+            _uniform_config(n_values=[100, 100])
+        with pytest.raises(DomainError, match="distinct"):
+            ExperimentConfig.from_json({
+                "ensemble": {"kind": "eigenvalues-only-uniform", "n": 10},
+                "n_values": [10, 20, 10], "trials": 3})
 
     def test_n_values_coerced_to_int_tuple(self):
         config = _uniform_config(n_values=[30.0, 60])

@@ -8,10 +8,8 @@ import pytest
 
 from neumann_bounds import (EXP_HALF_MEAN_LOG, DivergenceError, DomainError,
                             IterationProblem, PreconditionError, bound_K,
-                            bound_Kstar, halting_record, iterate,
-                            refined_statistic, scaled_K, sharpness_rhs,
-                            symmetric_eig, tail_norm)
-from neumann_bounds.iteration import HALTING_CSV_HEADER
+                            bound_Kstar, iterate, refined_statistic, scaled_K,
+                            sharpness_rhs, symmetric_eig, tail_norm)
 
 
 def _unit(v):
@@ -280,27 +278,3 @@ class TestSharpness:
     def test_unknown_mode(self):
         with pytest.raises(DomainError):
             sharpness_rhs(symmetric_eig(np.eye(2) * 0.5), which="smallest")
-
-
-class TestHaltingRecord:
-    def test_bundles_counts_and_bounds(self):
-        prob = IterationProblem(matrix=np.diag([0.5, -0.5]),
-                                rhs=np.array([1.0, 0.0]), epsilon=1e-3)
-        rec = halting_record(prob)
-        assert (rec.n, rec.k_eps, rec.k_star_eps) == (2, 11, 10)
-        assert (rec.K_eps, rec.K_star_eps) == (11, 10)
-        assert 0.0 <= rec.sigma < 1.0
-        assert not rec.saturated
-
-    def test_csv_row_matches_header(self):
-        prob = IterationProblem(matrix=np.diag([0.5, -0.5]),
-                                rhs=np.array([1.0, 0.0]))
-        row = halting_record(prob).csv_row(trial_index=7)
-        assert len(row) == len(HALTING_CSV_HEADER)
-        assert row[0] == 7 and row[1] == 2
-
-    def test_accepts_precomputed_result(self):
-        prob = IterationProblem(matrix=np.diag([0.5, -0.5]),
-                                rhs=np.array([1.0, 0.0]))
-        res = iterate(prob)
-        assert halting_record(prob, res) == halting_record(prob)

@@ -3,7 +3,8 @@
 The kernel and determinant tests lean on three independent oracles: mpmath
 at 40 significant digits for pointwise kernel values, the closed form
 det(I - J_0 on (0, s)) = exp(-s/4) for the order-0 determinant, and the
-leading small-s term of 1 - det for orders >= 1.
+leading small-s term of 1 - det for orders >= 1. The batched determinant is
+checked bitwise against one scalar call per interval length.
 """
 
 import csv
@@ -15,11 +16,10 @@ import numpy.testing as npt
 import pytest
 from scipy.special import jv
 
-from neumann_bounds import (BesselKernelOperator, DomainError, LimitLaw,
-                            ReciprocalLaw, bessel_kernel, exp_cdf,
-                            export_cdf_table, fredholm_det,
-                            gauss_legendre_rule, jue_limit_cdf, numeric_pdf,
-                            transplant)
+from neumann_bounds import (DomainError, LimitLaw, ReciprocalLaw,
+                            bessel_kernel, exp_cdf, export_cdf_table,
+                            fredholm_det, jue_limit_cdf, numeric_pdf)
+from neumann_bounds.limits import _mapped_rule, _nystrom
 
 
 def _mp_kernel(order, u, v):
@@ -57,71 +57,53 @@ class TestExpCdf:
 
 
 class TestGaussLegendre:
-    def test_one_point_rule(self):
-        rule = gauss_legendre_rule(1)
-        npt.assert_array_equal(rule.nodes, [0.0])
-        npt.assert_array_equal(rule.weights, [2.0])
-
-    def test_two_point_rule(self):
-        rule = gauss_legendre_rule(2)
-        npt.assert_allclose(rule.nodes, [-0.5773502691896257, 0.5773502691896257],
-                            atol=1e-15)
-        npt.assert_allclose(rule.weights, [1.0, 1.0], atol=1e-15)
+    """The Gauss-Legendre rule as mapped to (0, s) for the Nystrom matrices."""
 
     def test_weights_sum_to_interval_length(self):
         for m in (3, 8, 40, 80):
-            assert gauss_legendre_rule(m).weights.sum() == pytest.approx(
-                2.0, abs=1e-13)
-
-    def test_symmetric_and_ascending(self):
-        rule = gauss_legendre_rule(17)
-        assert np.all(np.diff(rule.nodes) > 0)
-        npt.assert_array_equal(rule.nodes, -rule.nodes[::-1])
-        npt.assert_array_equal(rule.weights, rule.weights[::-1])
+            for length in (2.0, 7.5):
+                _, weights = _mapped_rule(length, m)
+                assert weights.sum() == pytest.approx(length, abs=1e-12)
 
     def test_monomial_exactness(self):
         # an m-point rule integrates x^p exactly for p <= 2m-1
-        for m, p in ((3, 4), (8, 14), (12, 22)):
-            rule = gauss_legendre_rule(m)
-            assert rule.integrate(lambda x: x ** p) == pytest.approx(
-                2.0 / (p + 1), rel=1e-10)
-            assert rule.integrate(lambda x: x ** (p + 1)) == pytest.approx(
-                0.0, abs=1e-12)
+        for m, p in ((3, 5), (8, 15), (12, 23)):
+            nodes, weights = _mapped_rule(2.0, m)
+            assert np.sum(weights * nodes ** p) == pytest.approx(
+                2.0 ** (p + 1) / (p + 1), rel=1e-10)
 
     def test_high_degree_monomial(self):
-        rule = gauss_legendre_rule(40)
-        assert rule.integrate(lambda x: x ** 38) == pytest.approx(
-            2.0 / 39.0, rel=1e-10)
-
-    def test_matches_reference_implementation(self):
-        for m in (5, 40, 80):
-            rule = gauss_legendre_rule(m)
-            x_ref, w_ref = np.polynomial.legendre.leggauss(m)
-            npt.assert_allclose(rule.nodes, x_ref, atol=1e-13)
-            npt.assert_allclose(rule.weights, w_ref, atol=1e-13)
+        nodes, weights = _mapped_rule(2.0, 40)
+        assert np.sum(weights * nodes ** 38) == pytest.approx(
+            2.0 ** 39 / 39.0, rel=1e-10)
 
     def test_smooth_integrand(self):
-        assert gauss_legendre_rule(20).integrate(np.cos) == pytest.approx(
-            2 * math.sin(1.0), rel=1e-13)
+        nodes, weights = _mapped_rule(2.0, 20)
+        assert np.sum(weights * np.cos(nodes)) == pytest.approx(
+            math.sin(2.0), rel=1e-13)
 
     def test_rejects_empty_rule(self):
-        with pytest.raises(DomainError):
-            gauss_legendre_rule(0)
+        for m in (0, 1):
+            with pytest.raises(DomainError):
+                fredholm_det(2.0, 1.0, m)
 
 
 class TestTransplant:
     def test_exponential_integral(self):
-        rule = transplant(gauss_legendre_rule(20), 1.0)
-        assert rule.integrate(np.exp) == pytest.approx(math.e ** 2 - 1, rel=1e-12)
+        nodes, weights = _mapped_rule(2.0, 20)
+        assert np.sum(weights * np.exp(nodes)) == pytest.approx(
+            math.e ** 2 - 1, rel=1e-12)
 
     def test_geometry(self):
-        rule = transplant(gauss_legendre_rule(15), 3.5)
-        assert np.all(rule.nodes > 0) and np.all(rule.nodes < 7.0)
-        assert rule.weights.sum() == pytest.approx(7.0, abs=1e-12)
+        nodes, weights = _mapped_rule(np.array([7.0, 0.5]), 15)
+        assert nodes.shape == weights.shape == (2, 15)
+        assert np.all(nodes > 0) and np.all(nodes < [[7.0], [0.5]])
+        npt.assert_allclose(weights.sum(axis=1), [7.0, 0.5], atol=1e-12)
 
     def test_rejects_nonpositive_halfwidth(self):
-        with pytest.raises(DomainError):
-            transplant(gauss_legendre_rule(5), 0.0)
+        for bad in (0.0, np.array([1.0, 0.0]), np.array([np.nan])):
+            with pytest.raises(DomainError):
+                fredholm_det(2.0, bad)
 
 
 class TestBesselKernel:
@@ -153,6 +135,15 @@ class TestBesselKernel:
                 npt.assert_allclose(bessel_kernel(order, u, v),
                                     _mp_kernel(order, u, v), atol=1e-12)
 
+    def test_broadcast_matches_high_precision_oracle(self):
+        # the (m, 1) x (1, m) call the Nystrom assembly makes, diagonal included
+        u = np.array([0.0, 0.3, 2.0, 9.5, 25.0])
+        for order in (0.0, 2.0):
+            kern = bessel_kernel(order, u[:, None], u[None, :])
+            ref = np.array([[_mp_kernel(order, a, b) for b in u] for a in u])
+            assert kern.shape == (5, 5)
+            npt.assert_allclose(kern, ref, atol=1e-11)
+
     def test_diagonal_matches_high_precision_limit(self):
         for order in (0.0, 1.0, 2.0, 5.0):
             for u in (0.5, 3.0, 12.0):
@@ -175,27 +166,30 @@ class TestBesselKernel:
 
 
 class TestBesselKernelOperator:
+    """The stack of symmetrized Nystrom matrices behind fredholm_det."""
+
     def test_matrix_exactly_symmetric(self):
-        op = BesselKernelOperator(2.0, 10.0, 30)
-        npt.assert_array_equal(op.matrix, op.matrix.T)
+        mats = _nystrom(2.0, *_mapped_rule(np.array([10.0, 3.0]), 30))
+        npt.assert_array_equal(mats, mats.transpose(0, 2, 1))
 
     def test_spectrum_in_unit_interval(self):
-        lam = BesselKernelOperator(2.0, 10.0, 40).eigenvalues()
+        (mat,) = _nystrom(2.0, *_mapped_rule(10.0, 40))
+        lam = np.linalg.eigvalsh(mat)
         assert lam[0] > -1e-10
         assert lam[-1] < 1.0 + 1e-10
 
     def test_rule_covers_interval(self):
-        op = BesselKernelOperator(0.0, 6.0, 25)
-        assert np.all(op.rule.nodes > 0) and np.all(op.rule.nodes < 6.0)
-        assert op.rule.weights.sum() == pytest.approx(6.0, abs=1e-12)
+        nodes, weights = _mapped_rule(6.0, 25)
+        assert np.all(nodes > 0) and np.all(nodes < 6.0)
+        assert weights.sum() == pytest.approx(6.0, abs=1e-12)
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            BesselKernelOperator(-1.0, 1.0)
+            fredholm_det(-1.0, 1.0)
         with pytest.raises(DomainError):
-            BesselKernelOperator(2.0, 0.0)
+            fredholm_det(2.0, 0.0)
         with pytest.raises(DomainError):
-            BesselKernelOperator(2.0, 1.0, quad_size=1)
+            fredholm_det(2.0, 1.0, quad_size=1)
 
 
 class TestFredholmDet:
@@ -217,6 +211,18 @@ class TestFredholmDet:
 
     def test_self_convergence(self):
         assert abs(fredholm_det(2.0, 5.0, 40) - fredholm_det(2.0, 5.0, 80)) < 1e-10
+
+    def test_batched_equals_scalar_calls(self):
+        # more points than one block, so block boundaries are crossed
+        s = np.linspace(0.05, 40.0, 21)
+        for order in (0.0, 2.0):
+            for m in (40, 60):
+                batched = fredholm_det(order, s, m)
+                scalar = [fredholm_det(order, float(x), m) for x in s]
+                assert isinstance(scalar[0], float)
+                npt.assert_array_equal(batched, scalar)
+        grid = s.reshape(3, 7)
+        assert fredholm_det(2.0, grid).shape == (3, 7)
 
     def test_nonincreasing_in_interval_length(self):
         for order in (0.0, 2.0):
@@ -259,7 +265,7 @@ class TestLimitLawObjects:
         npt.assert_allclose(law.cdf(t), exp_cdf(t, 0.5))
         assert law.describe() == {"kind": "exponential", "rate": 0.5}
 
-    def test_bessel_law_caches(self):
+    def test_bessel_law(self):
         law = LimitLaw.bessel_hard_edge(2.0, quad_size=40)
         first = law.cdf(3.0)
         assert law.cdf(3.0) == first
@@ -275,6 +281,8 @@ class TestLimitLawObjects:
             LimitLaw.exponential(0.0)
         with pytest.raises(DomainError):
             LimitLaw.bessel_hard_edge(-2.0)
+        with pytest.raises(DomainError):
+            LimitLaw.bessel_hard_edge(2.0, quad_size=1)
 
     def test_reciprocal_of_exponential(self):
         rec = ReciprocalLaw(LimitLaw.exponential(0.5))
@@ -297,6 +305,16 @@ class TestNumericPdf:
         e1 = abs(numeric_pdf(law, 1.0, 2e-3) - exact)
         e2 = abs(numeric_pdf(law, 1.0, 1e-3) - exact)
         assert 3.0 < e1 / e2 < 5.0
+
+    def test_array_arguments_match_scalar_calls(self):
+        for law in (LimitLaw.exponential(0.5),
+                    LimitLaw.bessel_hard_edge(2.0, quad_size=40)):
+            t = np.array([0.5, 2.0, 10.0])
+            h = np.array([1e-3, 0.25, 0.5])
+            npt.assert_array_equal(numeric_pdf(law, t, h),
+                                   [numeric_pdf(law, a, b) for a, b in zip(t, h)])
+            npt.assert_array_equal(numeric_pdf(law, t, 1e-3),
+                                   [numeric_pdf(law, a, 1e-3) for a in t])
 
     def test_hard_edge_density_nonnegative(self):
         law = LimitLaw.bessel_hard_edge(2.0, quad_size=40)
