@@ -13,11 +13,15 @@ import json
 import sys
 from pathlib import Path
 
-from .ensembles import (sample_eigenvalues_only_uniform, sample_jue_matrix,
-                        sample_uniform_eig_matrix, trial_seed)
+from .ensembles import KINDS, EnsembleSpec, draw
 from .experiments import ExperimentConfig, emit_report, run_experiment
 from .limits import LimitLaw, export_cdf_table
 from .verify import SUITES, run_suite
+
+# Short ``sample --ensemble`` names for the ensemble kinds; the kind names
+# themselves are accepted too.
+SAMPLE_KINDS = {"uniform": "uniform-eig-haar",
+                "uniform-eigs": "eigenvalues-only-uniform", "jue": "jue"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -29,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sample = sub.add_parser("sample", help="draw ensemble samples to CSV")
     p_sample.add_argument("--ensemble", required=True,
-                          choices=["uniform", "jue", "uniform-eigs"])
+                          choices=sorted({*SAMPLE_KINDS, *KINDS}))
     p_sample.add_argument("--n", type=int, required=True)
     p_sample.add_argument("--n1", type=int, default=None,
                           help="first block height for jue (default n+2)")
@@ -61,19 +65,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sample(args) -> int:
+    spec = EnsembleSpec(SAMPLE_KINDS.get(args.ensemble, args.ensemble), args.n,
+                        n1=args.n1, n2=args.n2, seed=args.seed)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["trial_index", "seed", "lambda_min", "lambda_max"])
         for index in range(args.trials):
-            seed = trial_seed(args.seed, index)
-            if args.ensemble == "uniform":
-                s = sample_uniform_eig_matrix(args.n, seed)
-            elif args.ensemble == "uniform-eigs":
-                s = sample_eigenvalues_only_uniform(args.n, seed)
-            else:
-                n1 = args.n + 2 if args.n1 is None else args.n1
-                n2 = args.n + 2 if args.n2 is None else args.n2
-                s = sample_jue_matrix(args.n, n1, n2, seed)
+            s = draw(spec, trial_index=index)
             writer.writerow([index, s.seed_used,
                              repr(s.lambda_min), repr(s.lambda_max)])
     print(f"wrote {args.trials} samples to {args.out}")

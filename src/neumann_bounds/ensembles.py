@@ -24,7 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, PreconditionError, SingularityError
+from .errors import (DimensionError, DomainError, PreconditionError,
+                     SingularityError, check_keys)
 from .linalg import DenseMatrix, inv_sqrt_psd
 
 KINDS = ("uniform-eig-haar", "eigenvalues-only-uniform", "jue")
@@ -69,6 +70,7 @@ class EnsembleSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "EnsembleSpec":
+        check_keys(data, ("kind", "n", "n1", "n2", "seed"), ("kind", "n"), "ensemble")
         return cls(kind=data["kind"], n=int(data["n"]),
                    n1=None if data.get("n1") is None else int(data["n1"]),
                    n2=None if data.get("n2") is None else int(data["n2"]),

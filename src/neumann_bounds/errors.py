@@ -31,3 +31,11 @@ class DivergenceError(ArithmeticError):
 
 class NumericalError(ArithmeticError):
     """Computation produced non-finite values or failed a runtime audit."""
+
+
+def check_keys(data: dict, allowed, required, what: str) -> None:
+    """Reject unknown or missing keys of a JSON object with DomainError."""
+    for label, keys in (("unknown", set(data) - set(allowed)),
+                        ("missing", set(required) - set(data))):
+        if keys:
+            raise DomainError(f"{label} {what} keys {sorted(keys)}")

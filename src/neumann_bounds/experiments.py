@@ -19,15 +19,24 @@ from typing import Optional
 import numpy as np
 
 from .ensembles import EnsembleSpec, EnsembleSample, draw, trial_seed
-from .errors import DomainError, NumericalError, PreconditionError
+from .errors import DomainError, NumericalError, PreconditionError, check_keys
 from .iteration import (IterationProblem, bound_K, bound_Kstar, iterate,
                         refined_statistic, scaled_K, sharpness_rhs,
                         EXP_HALF_MEAN_LOG)
 from .limits import LimitLaw, ReciprocalLaw, numeric_pdf
 from .linalg import symmetric_eig
 
-STATISTICS = ("K_scaled", "K_reciprocal_scaled", "Z_refined", "k_measured",
-              "extreme_eig_scaled")
+# Closed-form statistics: (config, n, TailBound, lambda_max) -> value. The
+# lambdas look scaled_K / refined_statistic up when called, so rebinding works.
+_CLOSED_FORM = {
+    "K_scaled": lambda c, n, bnd, lmax: scaled_K(bnd.value, n, c.alpha, c.epsilon),
+    "K_reciprocal_scaled":
+        lambda c, n, bnd, lmax: 1.0 / scaled_K(bnd.value, n, c.alpha, c.epsilon),
+    "Z_refined": lambda c, n, bnd, lmax: refined_statistic(
+        bnd.kn, n, c.alpha, c.epsilon, c.effective_mean_log_xi()),
+    "extreme_eig_scaled": lambda c, n, bnd, lmax: float(n) ** c.alpha * (1.0 - lmax),
+}
+STATISTICS = (*_CLOSED_FORM, "k_measured")
 RHS_MODES = ("random_unit_sphere", "basis_e1", "max_eigvec")
 
 
@@ -37,14 +46,16 @@ class ExperimentConfig:
 
     ``ensemble`` is a template: its ``n`` is overridden by each entry of
     ``n_values`` (for jue, n1/n2 keep their offsets from the template n), and
-    its seed is ignored in favor of ``master_seed``.
+    its seed is ignored in favor of ``master_seed``. ``alpha`` is the edge
+    exponent of the ensemble (1 for the uniform kinds, 2 for jue); None
+    derives it, and any other value is rejected.
     """
 
     ensemble: EnsembleSpec
     n_values: tuple
     trials: int
     epsilon: float = 1e-3
-    alpha: float = 1.0
+    alpha: Optional[float] = None
     statistic: str = "K_reciprocal_scaled"
     rhs_mode: str = "random_unit_sphere"
     master_seed: int = 0
@@ -58,8 +69,11 @@ class ExperimentConfig:
             raise DomainError(f"need trials >= 1, got {self.trials}")
         if not (0.0 < self.epsilon < 0.5):
             raise DomainError(f"epsilon must lie in (0, 1/2), got {self.epsilon}")
-        if self.alpha <= 0:
-            raise DomainError(f"need alpha > 0, got {self.alpha}")
+        edge = 2.0 if self.ensemble.kind == "jue" else 1.0
+        if self.alpha is not None and self.alpha != edge:
+            raise DomainError(f"alpha is the edge exponent of {self.ensemble.kind!r}, "
+                              f"{edge}, got {self.alpha}")
+        object.__setattr__(self, "alpha", edge)
         if self.statistic not in STATISTICS:
             raise DomainError(f"unknown statistic {self.statistic!r}")
         if self.rhs_mode not in RHS_MODES:
@@ -73,29 +87,19 @@ class ExperimentConfig:
             )
 
     def to_json(self) -> dict:
-        return {
-            "ensemble": self.ensemble.to_json(),
-            "n_values": list(self.n_values),
-            "trials": self.trials,
-            "epsilon": self.epsilon,
-            "alpha": self.alpha,
-            "statistic": self.statistic,
-            "rhs_mode": self.rhs_mode,
-            "master_seed": self.master_seed,
-            "mean_log_xi": self.mean_log_xi,
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "ensemble": self.ensemble.to_json(), "n_values": list(self.n_values)}
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        if unknown:
-            raise DomainError(f"unknown config keys {unknown}")
+        check_keys(data, {f.name for f in fields(cls)},
+                   ("ensemble", "n_values", "trials"), "config")
         return cls(
             ensemble=EnsembleSpec.from_json(data["ensemble"]),
             n_values=tuple(data["n_values"]),
             trials=int(data["trials"]),
             epsilon=float(data.get("epsilon", 1e-3)),
-            alpha=float(data.get("alpha", 1.0)),
+            alpha=data.get("alpha"),
             statistic=data.get("statistic", "K_reciprocal_scaled"),
             rhs_mode=data.get("rhs_mode", "random_unit_sphere"),
             master_seed=int(data.get("master_seed", 0)),
@@ -198,15 +202,8 @@ def run_experiment(config: ExperimentConfig) -> list:
                         f"(trial {index}, n={n}, seed={seed})"
                     )
                 value = float(k_eps)
-            elif config.statistic == "K_scaled":
-                value = scaled_K(bnd.value, n, config.alpha, config.epsilon)
-            elif config.statistic == "K_reciprocal_scaled":
-                value = 1.0 / scaled_K(bnd.value, n, config.alpha, config.epsilon)
-            elif config.statistic == "Z_refined":
-                value = refined_statistic(bnd.kn, n, config.alpha, config.epsilon,
-                                          config.effective_mean_log_xi())
-            else:  # extreme_eig_scaled
-                value = float(n) ** config.alpha * (1.0 - lmax)
+            else:
+                value = _CLOSED_FORM[config.statistic](config, n, bnd, lmax)
 
             rows.append(TrialRow(
                 trial_index=index, n=n, seed=seed,

@@ -21,7 +21,7 @@ of the dominant branch the error bound is attained exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -155,23 +155,18 @@ def refined_statistic(k_n_value: float, n: int, alpha: float, eps: float,
 def sharpness_rhs(dec: EigenDecomposition, which: str = "max_eig") -> np.ndarray:
     """Right-hand side that makes a halting bound exact.
 
-    ``max_eig`` returns the unit eigenvector of the largest eigenvalue (needs
-    lambda_max in (0, 1)); when that branch dominates the tail norm, iterating
-    from this b gives k_eps == bound_K exactly. ``one_minus_A_max`` returns
-    the eigenvector of the largest eigenvalue of I - A, i.e. the one for
-    lambda_min.
+    ``max_eig`` (the only mode) returns the unit eigenvector of the largest
+    eigenvalue (needs lambda_max in (0, 1)); when that branch dominates the
+    tail norm, iterating from this b gives k_eps == bound_K exactly.
     """
-    if which == "max_eig":
-        lam = float(dec.eigenvalues[-1])
-        if not (0.0 < lam < 1.0):
-            raise PreconditionError(
-                f"max_eig sharpness needs lambda_max in (0, 1), got {lam}"
-            )
-        v = dec.basis[:, -1]
-    elif which == "one_minus_A_max":
-        v = dec.basis[:, 0]
-    else:
+    if which != "max_eig":
         raise DomainError(f"unknown sharpness mode {which!r}")
+    lam = float(dec.eigenvalues[-1])
+    if not (0.0 < lam < 1.0):
+        raise PreconditionError(
+            f"max_eig sharpness needs lambda_max in (0, 1), got {lam}"
+        )
+    v = dec.basis[:, -1]
     return v / np.linalg.norm(v)
 
 
@@ -206,7 +201,7 @@ class IterationProblem:
 
 @dataclass(frozen=True)
 class IterationResult:
-    """Outcome of the iteration: final iterate, halting counts, traces.
+    """Outcome of the iteration: final iterate and halting counts.
 
     When a criterion is still unmet at the iteration cap, its count equals the
     cap and the matching saturation flag is set — saturation is reported, not
@@ -216,7 +211,6 @@ class IterationResult:
     x: np.ndarray
     k_eps: int
     k_star_eps: int
-    residual_trace: np.ndarray = field(repr=False)
     k_eps_saturated: bool = False
     k_star_saturated: bool = False
 
@@ -252,24 +246,22 @@ def iterate(problem: IterationProblem) -> IterationResult:
 
     k_eps = None
     k_star = None
-    residuals = []
     x_next = b.astype(x_star.dtype)  # x_1 = A x_0 + b = b
     k = 0
     while k < cap and (k_eps is None or k_star is None):
         k += 1
         x = x_next
         x_next = a @ x + b
-        residuals.append(float(np.linalg.norm(x - x_next)))
+        residual = np.linalg.norm(x - x_next)
         if k_eps is None and np.linalg.norm(x_star - x) < eps:
             k_eps = k
-        if k_star is None and residuals[-1] < eps:
+        if k_star is None and residual < eps:
             k_star = k
 
     return IterationResult(
         x=x,
         k_eps=cap if k_eps is None else k_eps,
         k_star_eps=cap if k_star is None else k_star,
-        residual_trace=np.array(residuals),
         k_eps_saturated=k_eps is None,
         k_star_saturated=k_star is None,
     )

@@ -2,7 +2,9 @@
 
 Each check is a self-contained experiment with a frozen seed, a stated
 tolerance, and an independent route to the quantity under test (brute-force
-partial sums, direct search, quadrature, or a limit law). The CLI ``verify``
+partial sums, direct search, quadrature, or a limit law). The Monte Carlo
+checks draw their trials through ``run_experiment`` with the frozen seed as
+master seed, so they exercise the production trial loop. The CLI ``verify``
 subcommand and the acceptance test suite both run these.
 """
 
@@ -15,13 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad as _quad
 
-from .ensembles import (sample_eigenvalues_only_uniform, sample_haar_orthogonal,
-                        sample_jue_matrix, sample_uniform_eig_matrix)
-from .errors import DomainError
-from .experiments import EmpiricalDistribution, ks_distance
-from .iteration import (EXP_HALF_MEAN_LOG, IterationProblem, bound_K,
-                        bound_Kstar, iterate, refined_statistic, scaled_K,
-                        sharpness_rhs, tail_norm)
+from .ensembles import EnsembleSpec, sample_haar_orthogonal
+from .errors import DomainError, NumericalError
+from .experiments import (EmpiricalDistribution, ExperimentConfig, ks_distance,
+                          run_experiment)
+from .iteration import (EXP_HALF_MEAN_LOG, IterationProblem, bound_K, iterate,
+                        scaled_K, sharpness_rhs, tail_norm)
 from .limits import LimitLaw, fredholm_det
 from .linalg import DenseMatrix, symmetric_eig
 
@@ -117,29 +118,36 @@ def check_bound_direct_search(seed: int = SEED_BOUND_SEARCH,
                        "0 mismatches", detail={"triples": triples})
 
 
+def _rows(ensemble: EnsembleSpec, seed: int, trials: int, statistic: str,
+          eps: float = 1e-3) -> list:
+    """Trial rows of one ``run_experiment`` call at the ensemble's n."""
+    return run_experiment(ExperimentConfig(
+        ensemble=ensemble, n_values=(ensemble.n,), trials=trials, epsilon=eps,
+        statistic=statistic, master_seed=seed))
+
+
 @_timed
 def check_halting_bounds_uniform(seed: int = SEED_HALTING, trials: int = 100,
                                  n: int = 50, eps: float = 1e-3) -> CheckResult:
-    """Measured halting counts never exceed their bounds on random instances."""
-    rng = np.random.default_rng(seed)
-    violations = 0
-    saturated = 0
-    for _ in range(trials):
-        sample = sample_uniform_eig_matrix(n, rng)
-        b = rng.standard_normal(n)
-        b /= np.linalg.norm(b)
-        result = iterate(IterationProblem(sample.matrix, b, eps))
-        bnd = bound_K(sample.lambda_min, sample.lambda_max, eps)
-        kstar = bound_Kstar(sample.lambda_min, sample.lambda_max, eps)
-        if result.saturated:
-            saturated += 1
-        elif result.k_eps > bnd.value or result.k_star_eps > kstar:
-            violations += 1
-    return CheckResult("halting-bounds-uniform",
-                       violations == 0 and saturated == 0,
-                       violations, "0 violations, 0 saturated",
-                       detail={"trials": trials, "n": n, "epsilon": eps,
-                               "saturated": saturated})
+    """Measured halting counts never exceed their bounds on random instances.
+
+    Counted from the rows, independently of ``run_experiment``'s own audit,
+    whose abort (naming trial, n and seed) also fails the check.
+    """
+    name, threshold = "halting-bounds-uniform", "0 violations, 0 saturated"
+    detail = {"trials": trials, "n": n, "epsilon": eps}
+    try:
+        rows = _rows(EnsembleSpec("uniform-eig-haar", n), seed, trials,
+                     "k_measured", eps)
+    except NumericalError as exc:
+        return CheckResult(name, False, 1, threshold,
+                           detail={**detail, "audit_error": str(exc)})
+    saturated = sum(row.saturated for row in rows)
+    violations = sum(not row.saturated and (row.k_eps > row.K_eps
+                                            or row.k_star_eps > row.K_star_eps)
+                     for row in rows)
+    return CheckResult(name, violations == 0 and saturated == 0, violations,
+                       threshold, detail={**detail, "saturated": saturated})
 
 
 @_timed
@@ -170,13 +178,10 @@ def check_edge_gap_exponential(seed: int = SEED_EDGE_GAP, n: int = 10_000,
                                trials: int = 2000,
                                ks_bound: float = 0.05) -> CheckResult:
     """Scaled extreme-eigenvalue gaps of the uniform ensemble vs Exp(1/2)."""
-    rng = np.random.default_rng(seed)
-    top = np.empty(trials)
-    bottom = np.empty(trials)
-    for i in range(trials):
-        s = sample_eigenvalues_only_uniform(n, rng)
-        top[i] = n * (1.0 - s.lambda_max)
-        bottom[i] = n * (1.0 + s.lambda_min)
+    rows = _rows(EnsembleSpec("eigenvalues-only-uniform", n), seed, trials,
+                 "extreme_eig_scaled")
+    top = [row.statistic for row in rows]
+    bottom = [n * (1.0 + row.lambda_min) for row in rows]
     law = LimitLaw.exponential(0.5)
     ks_top = ks_distance(EmpiricalDistribution.from_samples(top), law)
     ks_bottom = ks_distance(EmpiricalDistribution.from_samples(bottom), law)
@@ -193,14 +198,10 @@ def check_refined_statistic(seed: int = SEED_REFINED, n: int = 1000,
                             ks_bound: float = 0.1) -> CheckResult:
     """The mean-log-corrected statistic beats the plain reciprocal and is close
     to Exp(1/2)."""
-    rng = np.random.default_rng(seed)
-    refined = np.empty(trials)
-    plain = np.empty(trials)
-    for i in range(trials):
-        s = sample_eigenvalues_only_uniform(n, rng)
-        bnd = bound_K(s.lambda_min, s.lambda_max, eps)
-        refined[i] = refined_statistic(bnd.kn, n, 1.0, eps)
-        plain[i] = 1.0 / scaled_K(bnd.value, n, 1.0, eps)
+    rows = _rows(EnsembleSpec("eigenvalues-only-uniform", n), seed, trials,
+                 "Z_refined", eps)
+    refined = [row.statistic for row in rows]
+    plain = [1.0 / scaled_K(row.K_eps, n, 1.0, eps) for row in rows]
     law = LimitLaw.exponential(0.5)
     ks_refined = ks_distance(EmpiricalDistribution.from_samples(refined), law)
     ks_plain = ks_distance(EmpiricalDistribution.from_samples(plain), law)
@@ -256,34 +257,31 @@ def check_fredholm_determinant(tol_pair: float = 1e-8,
 
 
 def jue_extreme_batch(seed: int = SEED_JUE, n: int = 200, n1: int = 202,
-                      n2: int = 202, trials: int = 500) -> np.ndarray:
-    """(lambda_min, lambda_max) pairs for a batch of JUE draws; shape (trials, 2)."""
-    rng = np.random.default_rng(seed)
-    out = np.empty((trials, 2))
-    for i in range(trials):
-        s = sample_jue_matrix(n, n1, n2, rng)
-        out[i, 0] = s.lambda_min
-        out[i, 1] = s.lambda_max
-    return out
+                      n2: int = 202, trials: int = 500,
+                      eps: float = 1e-3) -> list:
+    """Trial rows of a batch of JUE draws; the statistic is n^2 (1 - lambda_max)
+    and K_eps is the halting bound at ``eps``."""
+    return _rows(EnsembleSpec("jue", n, n1=n1, n2=n2), seed, trials,
+                 "extreme_eig_scaled", eps)
 
 
 @_timed
-def check_jue_hard_edge(batch: np.ndarray = None, seed: int = SEED_JUE,
+def check_jue_hard_edge(rows: list = None, seed: int = SEED_JUE,
                         n: int = 200, trials: int = 500, order: float = 2.0,
                         quad_size: int = 60,
                         ks_bound: float = 0.1) -> CheckResult:
     """Scaled JUE edge gaps vs the hard-edge determinant law, both edges."""
-    if batch is None:
-        batch = jue_extreme_batch(seed, n, n + 2, n + 2, trials)
+    if rows is None:
+        rows = jue_extreme_batch(seed, n, n + 2, n + 2, trials)
     law = LimitLaw.bessel_hard_edge(order, quad_size)
-    top = n ** 2 * (1.0 - batch[:, 1])
-    bottom = n ** 2 * (1.0 + batch[:, 0])
+    top = [row.statistic for row in rows]
+    bottom = [n ** 2 * (1.0 + row.lambda_min) for row in rows]
     ks_top = ks_distance(EmpiricalDistribution.from_samples(top), law)
     ks_bottom = ks_distance(EmpiricalDistribution.from_samples(bottom), law)
     worst = max(ks_top, ks_bottom)
     return CheckResult("jue-hard-edge-ks", worst < ks_bound, worst,
                        f"KS < {ks_bound} on both edges",
-                       detail={"n": n, "trials": len(batch), "order": order,
+                       detail={"n": n, "trials": len(rows), "order": order,
                                "quad_size": quad_size,
                                "ks_top": ks_top, "ks_bottom": ks_bottom})
 
@@ -304,23 +302,23 @@ def check_log_gap_bound(points: int = 1000) -> CheckResult:
 
 
 @_timed
-def check_jue_scaling(batch: np.ndarray = None, seed: int = SEED_JUE,
+def check_jue_scaling(rows: list = None, seed: int = SEED_JUE,
                       n: int = 200, trials: int = 500, eps: float = 1e-3,
                       order: float = 2.0, quad_size: int = 60,
                       ks_bound: float = 0.15) -> CheckResult:
-    """Reciprocal scaled halting bound for JUE vs the hard-edge law."""
-    if batch is None:
-        batch = jue_extreme_batch(seed, n, n + 2, n + 2, trials)
-    stats = np.empty(len(batch))
-    for i, (lmin, lmax) in enumerate(batch):
-        k = bound_K(float(lmin), float(lmax), eps).value
-        stats[i] = 1.0 / scaled_K(k, n, 2.0, eps)
+    """Reciprocal scaled halting bound for JUE vs the hard-edge law.
+
+    ``rows`` must come from ``jue_extreme_batch`` at the same ``eps``.
+    """
+    if rows is None:
+        rows = jue_extreme_batch(seed, n, n + 2, n + 2, trials, eps)
+    stats = np.array([1.0 / scaled_K(row.K_eps, n, 2.0, eps) for row in rows])
     nonneg = bool(np.all(stats >= 0.0))
     law = LimitLaw.bessel_hard_edge(order, quad_size)
     ks = ks_distance(EmpiricalDistribution.from_samples(stats), law)
     return CheckResult("jue-scaling-ks", nonneg and ks < ks_bound, ks,
                        f"all values >= 0 and KS < {ks_bound}",
-                       detail={"n": n, "trials": len(batch), "epsilon": eps,
+                       detail={"n": n, "trials": len(rows), "epsilon": eps,
                                "nonnegative": nonneg})
 
 
@@ -335,7 +333,17 @@ def check_mean_log_exponential(tol: float = 1e-8) -> CheckResult:
                        detail={"quadrature": value, "constant": EXP_HALF_MEAN_LOG})
 
 
-SUITES = ("lemma41", "prop25", "prop34", "thm32", "jue-hard-edge", "appendixA")
+# Suite name -> its checks, run in this order.
+_SUITE_CHECKS = {
+    "lemma41": (check_tail_norm_brute_force, check_bound_direct_search,
+                check_log_gap_bound),
+    "prop25": (check_halting_bounds_uniform, check_sharpness),
+    "prop34": (check_edge_gap_exponential,),
+    "thm32": (check_refined_statistic, check_jue_scaling),
+    "jue-hard-edge": (check_fredholm_determinant, check_jue_hard_edge),
+    "appendixA": (check_mean_log_exponential, check_refined_statistic),
+}
+SUITES = tuple(_SUITE_CHECKS)
 
 
 @dataclass
@@ -351,22 +359,8 @@ class SuiteReport:
 
 def run_suite(name: str) -> SuiteReport:
     """Run one named verification suite and collect its check results."""
-    if name == "lemma41":
-        checks = [check_tail_norm_brute_force(), check_bound_direct_search(),
-                  check_log_gap_bound()]
-    elif name == "prop25":
-        checks = [check_halting_bounds_uniform(), check_sharpness()]
-    elif name == "prop34":
-        checks = [check_edge_gap_exponential()]
-    elif name == "thm32":
-        batch = jue_extreme_batch()
-        checks = [check_refined_statistic(), check_jue_scaling(batch=batch)]
-    elif name == "jue-hard-edge":
-        batch = jue_extreme_batch()
-        checks = [check_fredholm_determinant(), check_jue_hard_edge(batch=batch)]
-    elif name == "appendixA":
-        checks = [check_mean_log_exponential(), check_refined_statistic()]
-    else:
+    if name not in _SUITE_CHECKS:
         raise DomainError(f"unknown suite {name!r}; choose from {SUITES}")
+    checks = [check() for check in _SUITE_CHECKS[name]]
     return SuiteReport(suite=name, passed=all(c.passed for c in checks),
                        checks=checks)

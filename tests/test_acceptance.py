@@ -6,7 +6,7 @@ PASS/FAIL line; run with ``pytest tests/test_acceptance.py -v -s`` to watch
 them stream.  All checks use frozen seeds, so the module is deterministic.
 
 Checks with a stated runtime budget assert it; the two hard-edge checks
-share one 500-trial batch (see ``conftest.jue_extremes``) whose sampling
+share one 500-trial run (see ``conftest.jue_extremes``) whose sampling
 cost is charged to both.
 """
 
@@ -61,8 +61,8 @@ def test_criterion_07_fredholm_determinant_self_convergence():
 
 
 def test_criterion_08_jue_edge_matches_bessel_law(jue_extremes):
-    batch, sampling_time = jue_extremes
-    _report(verify.check_jue_hard_edge(batch=batch),
+    rows, sampling_time = jue_extremes
+    _report(verify.check_jue_hard_edge(rows=rows),
             "criterion-08 scaled JUE edge gaps vs Bessel-kernel law",
             budget=900.0, extra_elapsed=sampling_time)
 
@@ -73,7 +73,7 @@ def test_criterion_09_log_gap_bound_holds():
 
 
 def test_criterion_10_jue_bound_scaling_sane(jue_extremes):
-    batch, sampling_time = jue_extremes
-    _report(verify.check_jue_scaling(batch=batch),
+    rows, sampling_time = jue_extremes
+    _report(verify.check_jue_scaling(rows=rows),
             "criterion-10 reciprocal bound statistic vs hard-edge law",
             extra_elapsed=sampling_time)

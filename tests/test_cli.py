@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from neumann_bounds import (DomainError, EnsembleSpec, ExperimentConfig,
-                            fredholm_det, trial_seed)
+                            PreconditionError, fredholm_det, trial_seed)
 from neumann_bounds.cli import main
 
 
@@ -46,6 +46,22 @@ class TestSample:
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         assert all(abs(float(r[3])) < 1.0 for r in rows)
+
+    def test_block_heights_rejected_for_uniform_kinds(self, tmp_path):
+        out = tmp_path / "x.csv"
+        with pytest.raises(PreconditionError):
+            main(["sample", "--ensemble", "uniform-eigs", "--n", "10",
+                  "--n1", "3", "--out", str(out)])
+        assert not out.exists()
+
+    def test_kind_names_match_short_names(self, tmp_path):
+        for short, kind in (("uniform-eigs", "eigenvalues-only-uniform"),
+                            ("uniform", "uniform-eig-haar"), ("jue", "jue")):
+            outs = [tmp_path / f"{name}.csv" for name in (short, kind)]
+            for name, out in zip((short, kind), outs):
+                assert main(["sample", "--ensemble", name, "--n", "8",
+                             "--trials", "3", "--seed", "4", "--out", str(out)]) == 0
+            assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_rejects_unknown_ensemble(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -183,6 +183,12 @@ class TestSpecAndSeeding:
                      EnsembleSpec("eigenvalues-only-uniform", 5)):
             assert EnsembleSpec.from_json(spec.to_json()) == spec
 
+    def test_from_json_rejects_missing_keys(self):
+        with pytest.raises(DomainError, match="'n'"):
+            EnsembleSpec.from_json({"kind": "jue"})
+        with pytest.raises(DomainError, match="'kind'"):
+            EnsembleSpec.from_json({"n": 10})
+
     def test_jue_defaults(self):
         spec = EnsembleSpec("jue", 10)
         assert spec.n1 == 12 and spec.n2 == 12

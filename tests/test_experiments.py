@@ -162,6 +162,31 @@ class TestExperimentConfig:
         with pytest.raises(DomainError, match="trails"):
             ExperimentConfig.from_json(data)
 
+    def test_from_json_ensemble_and_missing_keys_are_domain_errors(self):
+        data = {"ensemble": {"kind": "jue", "n": 10, "n_1": 30},
+                "n_values": [10], "trials": 3}
+        with pytest.raises(DomainError, match="n_1"):
+            ExperimentConfig.from_json(data)
+        data["ensemble"] = {"kind": "eigenvalues-only-uniform", "n": 10}
+        for key in ("ensemble", "n_values", "trials"):
+            partial = {k: v for k, v in data.items() if k != key}
+            with pytest.raises(DomainError, match=key):
+                ExperimentConfig.from_json(partial)
+
+    def test_alpha_is_the_ensemble_edge_exponent(self):
+        config = ExperimentConfig.from_json({
+            "ensemble": {"kind": "jue", "n": 40}, "n_values": [40],
+            "trials": 50, "statistic": "extreme_eig_scaled"})
+        assert config.alpha == 2.0
+        rows = run_experiment(config)
+        dist = EmpiricalDistribution.from_samples([r.statistic for r in rows])
+        assert ks_distance(dist, reference_law(config)) < 0.3
+        with pytest.raises(DomainError, match="alpha"):
+            ExperimentConfig(ensemble=EnsembleSpec("jue", 40), n_values=(40,),
+                             trials=2, alpha=1.0)
+        with pytest.raises(DomainError, match="alpha"):
+            _uniform_config(alpha=2.0)
+
     def test_rejects_duplicate_n_values(self):
         with pytest.raises(DomainError, match="distinct"):
             _uniform_config(n_values=[100, 100])
@@ -211,10 +236,12 @@ class TestRunExperiment:
             assert row.lambda_min <= row.lambda_max
 
     def test_extreme_eig_statistic_recomputable(self):
-        rows = run_experiment(_uniform_config(alpha=2.0))
-        for row in rows:
-            assert row.statistic == row.n ** 2.0 * (1.0 - row.lambda_max)
-            assert row.k_eps is None and row.k_star_eps is None
+        jue = _uniform_config(ensemble=EnsembleSpec("jue", 10), n_values=(10,),
+                              trials=3, alpha=2.0)
+        for config in (_uniform_config(alpha=1.0), jue):
+            for row in run_experiment(config):
+                assert row.statistic == row.n ** config.alpha * (1.0 - row.lambda_max)
+                assert row.k_eps is None and row.k_star_eps is None
 
     def test_closed_form_statistics_recomputable(self):
         for statistic in ("K_scaled", "K_reciprocal_scaled", "Z_refined"):
