@@ -19,8 +19,9 @@ from .experiments import (EmpiricalDistribution, ExperimentConfig, TrialRow,
                           emit_report, histogram, ks_distance, reference_law,
                           run_experiment)
 from .iteration import (EXP_HALF_MEAN_LOG, IterationProblem, IterationResult,
-                        TailBound, bound_K, bound_Kstar, iterate,
-                        refined_statistic, scaled_K, sharpness_rhs, tail_norm)
+                        TailBound, bound_K, bound_Kstar, halting_counts,
+                        iterate, refined_statistic, scaled_K, sharpness_rhs,
+                        tail_norm)
 from .limits import (LimitLaw, ReciprocalLaw, bessel_kernel, exp_cdf,
                      export_cdf_table, fredholm_det, jue_limit_cdf, numeric_pdf)
 from .linalg import DenseMatrix, EigenDecomposition, inv_sqrt_psd, symmetric_eig
@@ -36,8 +37,8 @@ __all__ = [
     "EmpiricalDistribution", "ExperimentConfig", "TrialRow", "emit_report",
     "histogram", "ks_distance", "reference_law", "run_experiment",
     "EXP_HALF_MEAN_LOG", "IterationProblem", "IterationResult", "TailBound",
-    "bound_K", "bound_Kstar", "iterate", "refined_statistic", "scaled_K",
-    "sharpness_rhs", "tail_norm",
+    "bound_K", "bound_Kstar", "halting_counts", "iterate", "refined_statistic",
+    "scaled_K", "sharpness_rhs", "tail_norm",
     "LimitLaw", "ReciprocalLaw", "bessel_kernel", "exp_cdf", "export_cdf_table",
     "fredholm_det", "jue_limit_cdf", "numeric_pdf",
     "DenseMatrix", "EigenDecomposition", "inv_sqrt_psd", "symmetric_eig",

@@ -4,6 +4,9 @@ Three samplers:
 
 * ``uniform-eig-haar`` — A = Q diag(lam) Q^T with lam_i iid Uniform(-1, 1) and
   Q Haar-orthogonal (QR of a Gaussian matrix with the sign-of-R-diagonal fix).
+  The sample carries that construction as its ``decomposition`` (lam sorted,
+  Q's columns permuted to match), so no caller has to diagonalize A again;
+  A itself is the rounded, symmetrized product.
 * ``eigenvalues-only-uniform`` — the same eigenvalue law without building the
   matrix; valid whenever downstream quantities depend only on the extreme
   eigenvalues.
@@ -25,8 +28,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import (DimensionError, DomainError, PreconditionError,
-                     SingularityError, check_keys)
-from .linalg import DenseMatrix, inv_sqrt_psd
+                     SingularityError, as_int, check_keys)
+from .linalg import DenseMatrix, EigenDecomposition, inv_sqrt_psd
 
 KINDS = ("uniform-eig-haar", "eigenvalues-only-uniform", "jue")
 
@@ -71,10 +74,9 @@ class EnsembleSpec:
     @classmethod
     def from_json(cls, data: dict) -> "EnsembleSpec":
         check_keys(data, ("kind", "n", "n1", "n2", "seed"), ("kind", "n"), "ensemble")
-        return cls(kind=data["kind"], n=int(data["n"]),
-                   n1=None if data.get("n1") is None else int(data["n1"]),
-                   n2=None if data.get("n2") is None else int(data["n2"]),
-                   seed=int(data.get("seed", 0)))
+        size = lambda key: None if data.get(key) is None else as_int(data[key], key)
+        return cls(kind=data["kind"], n=as_int(data["n"], "n"), n1=size("n1"),
+                   n2=size("n2"), seed=as_int(data.get("seed", 0), "seed"))
 
 
 @dataclass(frozen=True)
@@ -82,13 +84,16 @@ class EnsembleSample:
     """One draw: the (optional) matrix, its ascending eigenvalues, provenance.
 
     ``spec.seed == seed_used`` always holds — the recorded spec reproduces this
-    exact sample through ``draw(spec, trial_index=None)``.
+    exact sample through ``draw(spec, trial_index=None)``. ``decomposition`` is
+    the eigendecomposition the matrix was built from, when the sampler has one
+    (``uniform-eig-haar``); None otherwise.
     """
 
     spec: EnsembleSpec
     matrix: Optional[DenseMatrix]
     eigenvalues: np.ndarray
     seed_used: int
+    decomposition: Optional[EigenDecomposition] = None
 
     @property
     def lambda_min(self) -> float:
@@ -142,6 +147,7 @@ def sample_uniform_eig_matrix(n: int, rng) -> EnsembleSample:
     """Symmetric matrix with iid Uniform(-1,1) eigenvalues in a Haar eigenbasis.
 
     Draw order (fixed for reproducibility): eigenvalues first, then the basis.
+    The sample's ``decomposition`` holds both, sorted ascending.
     """
     if n < 1:
         raise DimensionError(f"need n >= 1, got {n}")
@@ -150,11 +156,14 @@ def sample_uniform_eig_matrix(n: int, rng) -> EnsembleSample:
     q = _haar_orthogonal(n, g)
     a = (q * lam) @ q.T
     a = (a + a.T) / 2
+    order = np.argsort(lam)
+    dec = EigenDecomposition(lam[order], q[:, order])
     return EnsembleSample(
         spec=EnsembleSpec("uniform-eig-haar", n, seed=seed),
         matrix=DenseMatrix(a, "symmetric"),
-        eigenvalues=np.sort(lam),
+        eigenvalues=dec.eigenvalues,
         seed_used=seed,
+        decomposition=dec,
     )
 
 

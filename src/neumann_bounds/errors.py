@@ -1,8 +1,10 @@
-"""Shared exception types.
+"""Shared exception types and the JSON boundary checks that raise them.
 
 Everything numerical-precondition-ish derives from ValueError so callers can
 catch broadly; genuine runtime arithmetic failures derive from ArithmeticError.
 """
+
+from numbers import Integral
 
 
 class DimensionError(ValueError):
@@ -39,3 +41,14 @@ def check_keys(data: dict, allowed, required, what: str) -> None:
                         ("missing", set(required) - set(data))):
         if keys:
             raise DomainError(f"{label} {what} keys {sorted(keys)}")
+
+
+def as_int(value, key: str) -> int:
+    """A JSON size or seed as an int; DomainError naming ``key`` unless integral.
+
+    Integral floats (``10.0``) pass; ``10.7``, booleans and strings do not.
+    """
+    if isinstance(value, bool) or not (isinstance(value, Integral) or (
+            isinstance(value, float) and value.is_integer())):
+        raise DomainError(f"{key} must be an integer, got {value!r}")
+    return int(value)

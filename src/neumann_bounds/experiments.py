@@ -19,12 +19,12 @@ from typing import Optional
 import numpy as np
 
 from .ensembles import EnsembleSpec, EnsembleSample, draw, trial_seed
-from .errors import DomainError, NumericalError, PreconditionError, check_keys
-from .iteration import (IterationProblem, bound_K, bound_Kstar, iterate,
-                        refined_statistic, scaled_K, sharpness_rhs,
-                        EXP_HALF_MEAN_LOG)
+from .errors import (DomainError, NumericalError, PreconditionError, as_int,
+                     check_keys)
+from .iteration import (bound_K, bound_Kstar, halting_counts, refined_statistic,
+                        scaled_K, sharpness_rhs, EXP_HALF_MEAN_LOG)
 from .limits import LimitLaw, ReciprocalLaw, numeric_pdf
-from .linalg import symmetric_eig
+from .linalg import EigenDecomposition, symmetric_eig
 
 # Closed-form statistics: (config, n, TailBound, lambda_max) -> value. The
 # lambdas look scaled_K / refined_statistic up when called, so rebinding works.
@@ -96,13 +96,13 @@ class ExperimentConfig:
                    ("ensemble", "n_values", "trials"), "config")
         return cls(
             ensemble=EnsembleSpec.from_json(data["ensemble"]),
-            n_values=tuple(data["n_values"]),
-            trials=int(data["trials"]),
+            n_values=tuple(as_int(n, "n_values entry") for n in data["n_values"]),
+            trials=as_int(data["trials"], "trials"),
             epsilon=float(data.get("epsilon", 1e-3)),
             alpha=data.get("alpha"),
             statistic=data.get("statistic", "K_reciprocal_scaled"),
             rhs_mode=data.get("rhs_mode", "random_unit_sphere"),
-            master_seed=int(data.get("master_seed", 0)),
+            master_seed=as_int(data.get("master_seed", 0), "master_seed"),
             mean_log_xi=data.get("mean_log_xi"),
         )
 
@@ -147,33 +147,37 @@ def _spec_for(config: ExperimentConfig, n: int, seed: int) -> EnsembleSpec:
     return EnsembleSpec(template.kind, n, seed=seed)
 
 
-def _rhs_vector(config: ExperimentConfig, sample: EnsembleSample, seed: int):
-    n = sample.spec.n
+def rhs_vector(config: ExperimentConfig, dec: EigenDecomposition, seed: int):
+    """The unit right-hand side of a measured trial under ``config.rhs_mode``."""
+    n = dec.eigenvalues.size
     if config.rhs_mode == "basis_e1":
         b = np.zeros(n)
         b[0] = 1.0
         return b
     if config.rhs_mode == "max_eigvec":
-        return sharpness_rhs(symmetric_eig(sample.matrix), "max_eig")
+        return sharpness_rhs(dec, "max_eig")
     g = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     b = g.standard_normal(n)
     return b / np.linalg.norm(b)
 
 
 def _measure(config: ExperimentConfig, sample: EnsembleSample, seed: int):
-    if sample.matrix is None:
-        raise PreconditionError("measured iteration needs the sampled matrix")
-    b = _rhs_vector(config, sample, seed)
-    problem = IterationProblem(sample.matrix, b, config.epsilon)
-    return iterate(problem)
+    """Halting counts in the sample's eigenbasis: the sampler's own, else one eigh."""
+    dec = sample.decomposition
+    if dec is None:
+        dec = symmetric_eig(sample.matrix)
+    return halting_counts(dec, rhs_vector(config, dec, seed), config.epsilon)
 
 
 def run_experiment(config: ExperimentConfig) -> list:
     """Run all trials; returns the trial table in deterministic order.
 
+    Measured counts come from the sample's eigenbasis (``halting_counts``).
     On measured paths every non-saturated trial is audited against its bounds
     (k <= K, k* <= K*); a violation aborts the run — it would mean the
-    implementation, not the mathematics, is wrong.
+    implementation, not the mathematics, is wrong. A violation, or a trial the
+    right-hand side cannot be built for, is reported with its trial index, n
+    and seed.
     """
     rows = []
     index = 0
@@ -188,7 +192,11 @@ def run_experiment(config: ExperimentConfig) -> list:
             k_eps = k_star_eps = None
             saturated = False
             if config.statistic == "k_measured":
-                result = _measure(config, sample, seed)
+                try:
+                    result = _measure(config, sample, seed)
+                except PreconditionError as exc:
+                    raise PreconditionError(
+                        f"{exc} (trial {index}, n={n}, seed={seed})") from exc
                 k_eps, k_star_eps = result.k_eps, result.k_star_eps
                 saturated = result.saturated
                 if not result.k_eps_saturated and k_eps > bnd.value:

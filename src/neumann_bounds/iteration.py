@@ -8,6 +8,9 @@ measured:
 * ``k_eps``      — first k with ||x - x_k|| < eps (true-error criterion),
 * ``k_star_eps`` — first k with ||(I - A) x_k - b|| < eps (residual criterion),
 
+read off the eigenbasis by ``halting_counts`` (the route experiments take) or
+from the literal recursion by ``iterate`` (the oracle that checks it),
+
 and two a-priori upper bounds are computed from the extreme eigenvalues alone:
 
 * ``bound_K``     — first k with ``tail_norm(lmin, lmax, k) < eps``, available
@@ -43,6 +46,12 @@ def _check_spectrum_args(lmin: float, lmax: float) -> None:
 def _check_epsilon(eps: float) -> None:
     if not (0.0 < eps < 0.5):
         raise DomainError(f"epsilon must lie in (0, 1/2), got {eps}")
+
+
+def _check_unit(b: np.ndarray) -> None:
+    nrm = np.linalg.norm(b)
+    if abs(nrm - 1.0) > 1e-12:
+        raise PreconditionError(f"rhs must be a unit vector, ||b|| = {nrm!r}")
 
 
 def tail_norm(lmin: float, lmax: float, k: int) -> float:
@@ -187,9 +196,7 @@ class IterationProblem:
     def __post_init__(self):
         _check_epsilon(self.epsilon)
         b = np.asarray(self.rhs)
-        nrm = np.linalg.norm(b)
-        if abs(nrm - 1.0) > 1e-12:
-            raise PreconditionError(f"rhs must be a unit vector, ||b|| = {nrm!r}")
+        _check_unit(b)
         a = _entries(self.matrix)
         if a.shape[0] != a.shape[1] or a.shape[1] != b.shape[0]:
             raise DomainError(
@@ -201,7 +208,8 @@ class IterationProblem:
 
 @dataclass(frozen=True)
 class IterationResult:
-    """Outcome of the iteration: final iterate and halting counts.
+    """Outcome of the iteration: final iterate x_k (k = the larger count) and
+    halting counts.
 
     When a criterion is still unmet at the iteration cap, its count equals the
     cap and the matching saturation flag is set — saturation is reported, not
@@ -220,11 +228,13 @@ class IterationResult:
 
 
 def iterate(problem: IterationProblem) -> IterationResult:
-    """Run the iteration, measuring both halting counts.
+    """Run the iteration, measuring both halting counts: the oracle.
 
     The reference solution is computed once spectrally; the iterates follow
     the literal recursion x_k = A x_{k-1} + b, so the measured counts reflect
-    the actual floating-point trajectory, not an eigenbasis shortcut.
+    the actual floating-point trajectory, not an eigenbasis shortcut. It
+    costs O(k n^2); experiments count with ``halting_counts`` instead, and
+    ``verify`` (suite prop25) checks those counts against this loop.
     """
     dec = symmetric_eig(problem.matrix)
     lmin, lmax = dec.lambda_min, dec.lambda_max
@@ -264,4 +274,66 @@ def iterate(problem: IterationProblem) -> IterationResult:
         k_star_eps=cap if k_star is None else k_star,
         k_eps_saturated=k_eps is None,
         k_star_saturated=k_star is None,
+    )
+
+
+def _first_below(weight: np.ndarray, modulus: np.ndarray, eps: float,
+                 cap: int) -> tuple:
+    """(first k in [1, cap] with ||weight * modulus^k|| < eps, saturated).
+
+    The norm is nonincreasing in k (modulus <= 1), so the crossing is bisected;
+    (cap, True) when even k = cap is not below eps.
+    """
+    def norm(k):
+        term = weight * modulus ** k  # |lam|^k, not (lam^2)^k: rounded once, as in tail_norm
+        return math.sqrt(float(term @ term))
+
+    if norm(cap) >= eps:
+        return cap, True
+    lo, hi = 0, cap  # norm(hi) < eps; lo == 0 or norm(lo) >= eps
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if norm(mid) < eps:
+            hi = mid
+        else:
+            lo = mid
+    return hi, False
+
+
+def halting_counts(dec: EigenDecomposition, rhs, epsilon: float) -> IterationResult:
+    """Both halting counts of the iteration for A = dec, read off the eigenbasis.
+
+    With c = basis^H b, the error and the residual after k steps are
+
+        ||x* - x_k|| = ||A^k x*|| = sqrt(sum |c_i|^2 lam_i^(2k) / (1 - lam_i)^2),
+        ||(I - A) x_k - b|| = ||A^k b|| = sqrt(sum |c_i|^2 lam_i^(2k)),
+
+    both nonincreasing in k, so each first crossing below eps is bisected in
+    O(n log cap). The cap is iterate's (50x the bounds) and the search is never
+    clamped at the bound, so callers' k <= K audits stay live. ``x`` is x_k at
+    the larger count, as in ``iterate``, whose counts these equal except where
+    the literal trajectory's norm ties with eps to rounding.
+    """
+    _check_epsilon(epsilon)
+    lam = dec.eigenvalues
+    lmin, lmax = dec.lambda_min, dec.lambda_max
+    if max(abs(lmin), abs(lmax)) >= 1.0:
+        raise DivergenceError(
+            f"spectral radius {max(abs(lmin), abs(lmax)):.6f} >= 1; the series diverges"
+        )
+    b = np.asarray(rhs)
+    _check_unit(b)
+    coef = dec.basis.conj().T @ b
+    modulus = np.abs(lam)
+    weight = np.abs(coef)
+    error_weight = weight / np.abs(1.0 - lam)
+    cap = 50 * max(bound_K(lmin, lmax, epsilon).value,
+                   bound_Kstar(lmin, lmax, epsilon), 1)
+    k_eps, eps_saturated = _first_below(error_weight, modulus, epsilon, cap)
+    k_star, star_saturated = _first_below(weight, modulus, epsilon, cap)
+    k = max(k_eps, k_star)
+    return IterationResult(
+        x=dec.basis @ (coef * (1.0 - lam ** k) / (1.0 - lam)),
+        k_eps=k_eps, k_star_eps=k_star,
+        k_eps_saturated=eps_saturated, k_star_saturated=star_saturated,
     )

@@ -17,14 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad as _quad
 
-from .ensembles import EnsembleSpec, sample_haar_orthogonal
+from .ensembles import EnsembleSpec, draw, sample_haar_orthogonal
 from .errors import DomainError, NumericalError
-from .experiments import (EmpiricalDistribution, ExperimentConfig, ks_distance,
-                          run_experiment)
+from .experiments import (RHS_MODES, EmpiricalDistribution, ExperimentConfig,
+                          ks_distance, rhs_vector, run_experiment)
 from .iteration import (EXP_HALF_MEAN_LOG, IterationProblem, bound_K, iterate,
                         scaled_K, sharpness_rhs, tail_norm)
 from .limits import LimitLaw, fredholm_det
-from .linalg import DenseMatrix, symmetric_eig
+from .linalg import DenseMatrix, _entries, symmetric_eig
 
 # Frozen seeds, one per statistical check; arbitrary but fixed.
 SEED_TAIL_NORM = 1101
@@ -34,6 +34,7 @@ SEED_SHARPNESS = 1104
 SEED_EDGE_GAP = 1105
 SEED_REFINED = 1106
 SEED_JUE = 1107
+SEED_SPECTRAL = 1108
 
 
 @dataclass
@@ -171,6 +172,74 @@ def check_sharpness(seed: int = SEED_SHARPNESS, instances: int = 50,
     return CheckResult("sharpness-max-eigvec", exact == instances, exact,
                        f"k_eps == K_eps on all {instances} instances",
                        detail={"instances": instances, "n": n})
+
+
+def literal_disagreements(matrix, b: np.ndarray, eps: float, counts,
+                          rel_tie: float = 1e-8) -> list:
+    """Where ``counts`` (anything with ``k_eps`` and ``k_star_eps``: an
+    IterationResult or a TrialRow) differs from ``iterate``'s literal loop.
+
+    One entry per differing count. The disputed step is the smaller of the two
+    counts; the entry is a tie when the literal trajectory's norm there (as
+    ``iterate`` computes it) lies within a relative ``rel_tie`` of eps.
+    """
+    literal = iterate(IterationProblem(matrix, b, eps))
+    out = []
+    for criterion in ("k_eps", "k_star_eps"):
+        fast, slow = getattr(counts, criterion), getattr(literal, criterion)
+        if fast != slow:
+            norm = _literal_norm(matrix, b, criterion, min(fast, slow))
+            out.append({"criterion": criterion, "spectral": fast, "literal": slow,
+                        "literal_norm": norm,
+                        "tie": abs(norm - eps) <= rel_tie * eps})
+    return out
+
+
+def _literal_norm(matrix, b: np.ndarray, criterion: str, k: int) -> float:
+    """||x* - x_k|| or ||x_k - x_{k+1}|| along the recursion, as iterate computes them."""
+    dec = symmetric_eig(matrix)
+    x_star = dec.basis @ ((dec.basis.conj().T @ b) / (1.0 - dec.eigenvalues))
+    a = _entries(matrix)
+    x = np.zeros_like(x_star)
+    for _ in range(k):
+        x = a @ x + b
+    if criterion == "k_eps":
+        return float(np.linalg.norm(x_star - x))
+    return float(np.linalg.norm(x - (a @ x + b)))
+
+
+@_timed
+def check_spectral_vs_literal(seed: int = SEED_SPECTRAL, trials: int = 100,
+                              n: int = 50, eps: float = 1e-3,
+                              rel_tie: float = 1e-8) -> CheckResult:
+    """Eigenbasis halting counts (what ``run`` reports) vs the literal recursion.
+
+    For every rhs mode, ``run_experiment`` measures the trials; each is redrawn
+    from its recorded seed and ``iterate`` runs x_k = A x_{k-1} + b on the
+    same matrix and b. A differing count is allowed only as a tie (see
+    ``literal_disagreements``); ties are listed in the detail.
+    """
+    name, threshold = "spectral-vs-literal", "0 unexplained disagreements"
+    detail = {"trials": trials, "n": n, "epsilon": eps, "rel_tie": rel_tie}
+    ties, unexplained = [], []
+    for mode in RHS_MODES:
+        config = ExperimentConfig(
+            ensemble=EnsembleSpec("uniform-eig-haar", n), n_values=(n,),
+            trials=trials, epsilon=eps, statistic="k_measured", rhs_mode=mode,
+            master_seed=seed)
+        try:
+            rows = run_experiment(config)
+        except NumericalError as exc:
+            return CheckResult(name, False, 1, threshold,
+                               detail={**detail, "audit_error": str(exc)})
+        for row in rows:
+            sample = draw(EnsembleSpec("uniform-eig-haar", n, seed=row.seed))
+            b = rhs_vector(config, sample.decomposition, row.seed)
+            for entry in literal_disagreements(sample.matrix, b, eps, row, rel_tie):
+                entry.update(rhs_mode=mode, trial=row.trial_index, seed=row.seed)
+                (ties if entry["tie"] else unexplained).append(entry)
+    return CheckResult(name, not unexplained, len(unexplained), threshold,
+                       detail={**detail, "ties": ties, "unexplained": unexplained})
 
 
 @_timed
@@ -337,7 +406,8 @@ def check_mean_log_exponential(tol: float = 1e-8) -> CheckResult:
 _SUITE_CHECKS = {
     "lemma41": (check_tail_norm_brute_force, check_bound_direct_search,
                 check_log_gap_bound),
-    "prop25": (check_halting_bounds_uniform, check_sharpness),
+    "prop25": (check_halting_bounds_uniform, check_sharpness,
+               check_spectral_vs_literal),
     "prop34": (check_edge_gap_exponential,),
     "thm32": (check_refined_statistic, check_jue_scaling),
     "jue-hard-edge": (check_fredholm_determinant, check_jue_hard_edge),

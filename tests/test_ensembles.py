@@ -68,6 +68,22 @@ class TestUniformEigMatrix:
             recomputed = symmetric_eig(sample.matrix).eigenvalues
             npt.assert_allclose(recomputed, sample.eigenvalues, atol=1e-9)
 
+    def test_carries_its_construction_decomposition(self):
+        sample = sample_uniform_eig_matrix(15, 206)
+        dec = sample.decomposition
+        assert dec.eigenvalues is sample.eigenvalues
+        # draw order is lambda first, then the basis: the raw draw replays
+        g = np.random.default_rng(206)
+        lam = g.uniform(-1.0, 1.0, 15)
+        npt.assert_array_equal(dec.eigenvalues, np.sort(lam))
+        npt.assert_allclose(dec.basis.T @ dec.basis, np.eye(15), atol=1e-12)
+        rebuilt = (dec.basis * dec.eigenvalues) @ dec.basis.T
+        npt.assert_allclose(rebuilt, sample.matrix.entries, atol=1e-14)
+
+    def test_only_the_haar_sampler_carries_a_decomposition(self):
+        assert draw(EnsembleSpec("eigenvalues-only-uniform", 6, seed=1)).decomposition is None
+        assert draw(EnsembleSpec("jue", 6, seed=1)).decomposition is None
+
     def test_spectrum_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(203)
         for _ in range(50):
@@ -188,6 +204,15 @@ class TestSpecAndSeeding:
             EnsembleSpec.from_json({"kind": "jue"})
         with pytest.raises(DomainError, match="'kind'"):
             EnsembleSpec.from_json({"n": 10})
+
+    def test_from_json_rejects_non_integral_sizes(self):
+        for key, value in (("n", 10.7), ("n1", 12.5), ("n2", "12"),
+                           ("seed", 1.5), ("n", True)):
+            data = {"kind": "jue", "n": 10, key: value}
+            with pytest.raises(DomainError, match=key):
+                EnsembleSpec.from_json(data)
+        spec = EnsembleSpec.from_json({"kind": "jue", "n": 10.0, "seed": 3.0})
+        assert spec == EnsembleSpec("jue", 10, seed=3)
 
     def test_jue_defaults(self):
         spec = EnsembleSpec("jue", 10)

@@ -1,6 +1,7 @@
 """Tests for the experiment harness and empirical statistics."""
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -10,10 +11,11 @@ import pytest
 
 from neumann_bounds import (EXP_HALF_MEAN_LOG, DomainError,
                             EmpiricalDistribution, EnsembleSpec,
-                            ExperimentConfig, LimitLaw, PreconditionError,
-                            ReciprocalLaw, bound_K, emit_report, histogram,
-                            ks_distance, reference_law, run_experiment,
-                            scaled_K, trial_seed)
+                            ExperimentConfig, LimitLaw, NumericalError,
+                            PreconditionError, ReciprocalLaw, bound_K,
+                            emit_report, experiments, histogram, ks_distance,
+                            reference_law, run_experiment, scaled_K,
+                            trial_seed)
 from neumann_bounds.experiments import TRIALS_CSV_HEADER
 
 
@@ -173,6 +175,20 @@ class TestExperimentConfig:
             with pytest.raises(DomainError, match=key):
                 ExperimentConfig.from_json(partial)
 
+    def test_from_json_rejects_non_integral_sizes(self):
+        base = {"ensemble": {"kind": "eigenvalues-only-uniform", "n": 10},
+                "n_values": [10], "trials": 2}
+        for key, value in (("n_values", [10.9]), ("n_values", [10, 20.5]),
+                           ("trials", 2.9), ("master_seed", 0.5),
+                           ("trials", "2")):
+            with pytest.raises(DomainError, match=key):
+                ExperimentConfig.from_json({**base, key: value})
+        data = {**base, "ensemble": {"kind": "eigenvalues-only-uniform", "n": 10.7}}
+        with pytest.raises(DomainError, match="'n'|n must"):
+            ExperimentConfig.from_json(data)
+        config = ExperimentConfig.from_json({**base, "n_values": [10.0], "trials": 2.0})
+        assert config.n_values == (10,) and config.trials == 2
+
     def test_alpha_is_the_ensemble_edge_exponent(self):
         config = ExperimentConfig.from_json({
             "ensemble": {"kind": "jue", "n": 40}, "n_values": [40],
@@ -274,6 +290,48 @@ class TestRunExperiment:
                 rhs_mode=mode, master_seed=23)
             rows = run_experiment(config)
             assert all(r.k_eps >= 1 for r in rows)
+
+    def test_max_eigvec_failure_names_trial(self):
+        # trial 9 draws three negative eigenvalues: no top eigenvector rhs
+        config = ExperimentConfig(
+            ensemble=EnsembleSpec("uniform-eig-haar", 3), n_values=(3,),
+            trials=40, statistic="k_measured", rhs_mode="max_eigvec",
+            master_seed=1)
+        where = rf"\(trial 9, n=3, seed={trial_seed(1, 9)}\)"
+        with pytest.raises(PreconditionError, match=rf"lambda_max.*{where}"):
+            run_experiment(config)
+
+    def test_audit_catches_counts_above_the_bound(self, monkeypatch):
+        real = experiments.halting_counts
+
+        def over_the_bound(dec, b, eps):
+            result = real(dec, b, eps)
+            k = bound_K(dec.lambda_min, dec.lambda_max, eps).value + 1
+            return dataclasses.replace(result, k_eps=k)
+
+        monkeypatch.setattr(experiments, "halting_counts", over_the_bound)
+        config = ExperimentConfig(
+            ensemble=EnsembleSpec("uniform-eig-haar", 12), n_values=(12,),
+            trials=3, statistic="k_measured", master_seed=17)
+        where = rf"\(trial 0, n=12, seed={trial_seed(17, 0)}\)"
+        with pytest.raises(NumericalError, match=rf"k=\d+ > K=\d+ {where}"):
+            run_experiment(config)
+
+    def test_measured_trials_decompose_only_jue(self, monkeypatch):
+        calls = []
+        real = experiments.symmetric_eig
+        monkeypatch.setattr(experiments, "symmetric_eig",
+                            lambda m: calls.append(m) or real(m))
+        for mode in ("random_unit_sphere", "basis_e1", "max_eigvec"):
+            run_experiment(ExperimentConfig(
+                ensemble=EnsembleSpec("uniform-eig-haar", 10), n_values=(10,),
+                trials=3, statistic="k_measured", rhs_mode=mode, master_seed=23))
+        assert calls == []
+        for mode in ("random_unit_sphere", "max_eigvec"):
+            run_experiment(ExperimentConfig(
+                ensemble=EnsembleSpec("jue", 8), n_values=(8,), trials=2,
+                statistic="k_measured", rhs_mode=mode, master_seed=31))
+        assert len(calls) == 4
 
     def test_measured_on_jue(self):
         config = ExperimentConfig(

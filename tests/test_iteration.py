@@ -5,11 +5,16 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from neumann_bounds import (EXP_HALF_MEAN_LOG, DivergenceError, DomainError,
-                            IterationProblem, PreconditionError, bound_K,
-                            bound_Kstar, iterate, refined_statistic, scaled_K,
-                            sharpness_rhs, symmetric_eig, tail_norm)
+                            EigenDecomposition, IterationProblem,
+                            PreconditionError, bound_K, bound_Kstar,
+                            halting_counts, iterate, refined_statistic,
+                            sample_haar_orthogonal, scaled_K, sharpness_rhs,
+                            symmetric_eig, tail_norm)
+from neumann_bounds import iteration
+from neumann_bounds.verify import literal_disagreements
 
 
 def _unit(v):
@@ -254,6 +259,83 @@ class TestIterate:
         with pytest.raises(DomainError):
             IterationProblem(matrix=np.zeros((2, 2)),
                              rhs=np.array([1.0, 0.0]), max_iterations=0)
+
+
+def _built_from(lam, seed):
+    """(matrix, its construction decomposition, unit b), as the Haar sampler builds them."""
+    lam = np.asarray(lam, dtype=float)
+    rng = np.random.default_rng(seed)
+    q = sample_haar_orthogonal(lam.size, rng).entries
+    a = (q * lam) @ q.T
+    order = np.argsort(lam)
+    dec = EigenDecomposition(lam[order], q[:, order])
+    return (a + a.T) / 2, dec, _unit(rng.standard_normal(lam.size))
+
+
+class TestHaltingCounts:
+    def test_frozen_diagonal_example(self):
+        res = halting_counts(symmetric_eig(np.diag([0.5, -0.5])),
+                             np.array([1.0, 0.0]), 1e-3)
+        assert (res.k_eps, res.k_star_eps) == (11, 10)
+        assert not res.saturated
+        npt.assert_allclose(res.x, [2.0, 0.0], atol=2e-3)
+
+    def test_zero_matrix_halts_immediately(self):
+        res = halting_counts(symmetric_eig(np.zeros((2, 2))),
+                             np.array([0.6, 0.8]), 1e-3)
+        assert res.k_eps == 1 and res.k_star_eps == 1
+        npt.assert_allclose(res.x, [0.6, 0.8])
+
+    def test_matches_literal_loop_and_final_iterate(self):
+        a, dec, b = _built_from(np.linspace(-0.9, 0.97, 9), 21)
+        fast = halting_counts(dec, b, 1e-4)
+        slow = iterate(IterationProblem(a, b, 1e-4))
+        assert (fast.k_eps, fast.k_star_eps) == (slow.k_eps, slow.k_star_eps)
+        npt.assert_allclose(fast.x, slow.x, atol=1e-10)
+
+    def test_hermitian_decomposition(self):
+        from neumann_bounds import sample_jue_matrix
+        sample = sample_jue_matrix(6, 8, 8, 20)
+        b = np.zeros(6)
+        b[0] = 1.0
+        fast = halting_counts(symmetric_eig(sample.matrix), b, 1e-3)
+        slow = iterate(IterationProblem(sample.matrix, b))
+        assert (fast.k_eps, fast.k_star_eps) == (slow.k_eps, slow.k_star_eps)
+
+    def test_search_is_not_clamped_at_the_bound(self, monkeypatch):
+        # A wrong (too small) K must not pin the count: the audit needs to see it.
+        monkeypatch.setattr(iteration, "bound_K",
+                            lambda lmin, lmax, eps: iteration.TailBound(3, 0.0, 0.0, 0.0))
+        res = halting_counts(symmetric_eig(np.diag([0.5, -0.5])),
+                             np.array([1.0, 0.0]), 1e-3)
+        assert res.k_eps == 11 and not res.saturated
+
+    def test_saturation_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(iteration, "bound_K",
+                            lambda lmin, lmax, eps: iteration.TailBound(1, 0.0, 0.0, 0.0))
+        monkeypatch.setattr(iteration, "bound_Kstar", lambda lmin, lmax, eps: 1)
+        res = halting_counts(symmetric_eig(np.diag([0.99])), np.array([1.0]), 1e-3)
+        assert res.k_eps == res.k_star_eps == 50
+        assert res.k_eps_saturated and res.k_star_saturated
+
+    def test_validation(self):
+        dec = symmetric_eig(np.diag([0.5, 0.1]))
+        with pytest.raises(DivergenceError):
+            halting_counts(symmetric_eig(np.diag([1.0, 0.0])), np.array([1.0, 0.0]), 1e-3)
+        with pytest.raises(PreconditionError):
+            halting_counts(dec, np.array([1.0, 1.0]), 1e-3)
+        with pytest.raises(DomainError):
+            halting_counts(dec, np.array([1.0, 0.0]), 0.5)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(lam=st.lists(st.floats(-0.95, 0.95, exclude_min=True, exclude_max=True),
+                        min_size=2, max_size=12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_property_equal_to_literal_loop_or_tie(self, lam, seed):
+        a, dec, b = _built_from(lam, seed)
+        counts = halting_counts(dec, b, 1e-3)
+        assert not counts.saturated
+        assert all(entry["tie"] for entry in literal_disagreements(a, b, 1e-3, counts))
 
 
 class TestSharpness:

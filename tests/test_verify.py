@@ -1,9 +1,13 @@
 """The halting check counts bound violations on its own, apart from the
-audit inside ``run_experiment``."""
+audit inside ``run_experiment``; the spectral-vs-literal check catches wrong
+counts and tells ties from disagreements."""
 
 import dataclasses
 
-from neumann_bounds import NumericalError, TrialRow, verify
+import numpy as np
+
+from neumann_bounds import (IterationProblem, NumericalError, TrialRow,
+                            experiments, iterate, verify)
 
 
 def _row(**overrides):
@@ -39,3 +43,38 @@ def test_halting_check_fails_on_audit_error(monkeypatch):
     result = verify.check_halting_bounds_uniform()
     assert not result.passed
     assert result.detail["audit_error"] == message
+
+
+def test_spectral_counts_agree_with_the_literal_loop():
+    result = verify.check_spectral_vs_literal()
+    assert result.passed, result.detail
+    assert result.value == 0 and result.detail["unexplained"] == []
+
+
+def test_spectral_check_fails_on_a_wrong_count(monkeypatch):
+    real = experiments.halting_counts
+
+    def one_step_early(dec, b, eps):
+        result = real(dec, b, eps)
+        return dataclasses.replace(result, k_eps=result.k_eps - 1)
+
+    monkeypatch.setattr(experiments, "halting_counts", one_step_early)
+    result = verify.check_spectral_vs_literal(trials=3)
+    assert not result.passed
+    assert result.value == 9  # every trial of all three rhs modes
+    assert {e["criterion"] for e in result.detail["unexplained"]} == {"k_eps"}
+
+
+def test_disagreement_at_an_exact_tie_is_reported_as_a_tie():
+    # ||x* - x_k|| = 0.5^(k-1) exactly, so at eps = 0.5^9 the literal loop
+    # halts at k = 11; a count of 10 differs only by the tie at step 10.
+    matrix, b, eps = np.diag([0.5]), np.array([1.0]), 0.5 ** 9
+    counts = iterate(IterationProblem(matrix, b, eps))
+    assert counts.k_eps == 11
+    tie = verify.literal_disagreements(
+        matrix, b, eps, dataclasses.replace(counts, k_eps=10))
+    assert tie == [{"criterion": "k_eps", "spectral": 10, "literal": 11,
+                    "literal_norm": eps, "tie": True}]
+    miss = verify.literal_disagreements(
+        matrix, b, eps, dataclasses.replace(counts, k_eps=9))
+    assert [e["tie"] for e in miss] == [False]
